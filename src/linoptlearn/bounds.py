@@ -4,13 +4,18 @@ The bound calculators evaluate the closed-form high-probability bounds on
 ``|C - C_hat|`` for each training scheme exactly as displayed, with the
 absolute constant ``C1 = 1 / (9 pi^3 ln 2)`` of the sphere-concentration
 inequality.  The experiment helpers measure the actual gaps at empirically
-minimized circuits and check the Lipschitz implications by direct sampling;
-full risks are Monte-Carlo estimates, so comparisons carry a 3-stderr margin.
+minimized circuits and check the Lipschitz implications by direct sampling.
+Full risks of all three schemes come from the exact sphere-moment series, and
+comparisons carry a margin of 3 times its error estimate.  Where that estimate
+exceeds ``TAIL_WARN`` (large ``2E kappa^2``, where the alternating series
+cancels) the full risk falls back to a Monte-Carlo estimate and the margin is
+3 stderr.
 """
 
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -23,9 +28,9 @@ from .core import (
     spectral_distance,
     substream,
 )
-from .errors import InvalidParameter
+from .errors import ConvergenceWarning, InvalidParameter
 from .optimize import OptimConfig, minimize
-from .risk import empirical_risk, full_risk_mc
+from .risk import TAIL_WARN, empirical_risk, full_risk_mc, series_full_risk
 from .training import Scheme, sample_sphere, sample_training_set
 
 C1 = 1.0 / (9.0 * math.pi**3 * math.log(2.0))
@@ -126,6 +131,21 @@ def minimal_sufficient_size(scheme, modes: int, energy: float, delta: float, lev
     return hi
 
 
+def _full_risk(scheme, target, hypothesis, modes, count, energy, samples, seed):
+    """``(value, error)`` of a full risk: the series, or Monte-Carlo past ``TAIL_WARN``.
+
+    ``error`` is the series error estimate, or the Monte-Carlo stderr when
+    the series cannot be trusted at this energy and the estimate is drawn
+    with ``samples`` points from ``seed``.
+    """
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ConvergenceWarning)
+        series = series_full_risk(target, hypothesis, energy, modes, scheme=scheme, count=count)
+    if series.error_estimate <= TAIL_WARN:
+        return series.value, series.error_estimate
+    return full_risk_mc(scheme, target, hypothesis, modes, count, energy, samples, seed=seed)
+
+
 @dataclass(frozen=True, eq=False)
 class LipschitzReport:
     """Observed risk gaps of a circuit pair against the Lipschitz budgets."""
@@ -156,8 +176,13 @@ def lipschitz_check(
 
     With ``d = ||O_W - O_V||`` (spectral), every empirical risk gap and the
     ERM1 full-risk gap must stay below ``eps1 = d sqrt(E)``, and the ERM2
-    full-risk gap below ``eps2 = d sqrt(E (2M+1) / (2MT-1))``.  Full risks are
-    estimated with common random numbers and compared with a 3-stderr margin.
+    full-risk gap below ``eps2 = d sqrt(E (2M+1) / (2MT-1))``.  The ERM1 and
+    ERM2 full risks come from the sphere-moment series (ERM1P, the ERM1
+    series at E/T, has no separate budget here) and a gap violates only when
+    it exceeds its budget by more than 3 times the summed error estimates.
+    Where a series error estimate exceeds ``TAIL_WARN`` that full risk is a
+    ``mc_samples``-point Monte-Carlo estimate instead, with common random
+    numbers for the pair, and the ``*_stderr`` fields hold its stderr.
     """
     if trials < 1:
         raise InvalidParameter("trials must be >= 1")
@@ -186,16 +211,14 @@ def lipschitz_check(
                 violations += 1
 
     def full_gap(scheme, eps):
-        values = []
-        for hyp in (o_w, o_v):
-            values.append(
-                full_risk_mc(
-                    scheme, o_w, hyp, modes, size, energy, mc_samples, seed=(0 if seed is None else seed, 1)
-                )
-            )
+        mc_seed = (0 if seed is None else seed, 1)
+        values = [
+            _full_risk(scheme, o_w, hyp, modes, size, energy, mc_samples, mc_seed)
+            for hyp in (o_w, o_v)
+        ]
         gap = abs(values[0][0] - values[1][0])
-        stderr = values[0][1] + values[1][1]
-        return gap, stderr, int(gap - 3.0 * stderr > eps)
+        error = values[0][1] + values[1][1]
+        return gap, error, int(gap - 3.0 * error > eps)
 
     gap1, se1, v1 = full_gap(Scheme.ERM1, eps1)
     gap2, se2, v2 = full_gap(Scheme.ERM2, eps2)
@@ -265,11 +288,15 @@ def generalization_experiment(
     """Measure ``|C - C_hat|`` at empirically minimized circuits per size.
 
     For every size in the grid: draw training sets, minimize the empirical
-    risk, Monte-Carlo the matching full risk at the minimizer, and compare the
-    gap with the scheme's bound.  ``optimizer_replicas`` independent
-    minimizations per set average out the algorithm's direction-of-approach
-    noise.  Sets where no replica converges are excluded and counted in
-    ``failures``.
+    risk, evaluate the matching full risk at the minimizer, and compare the
+    gap with the scheme's bound.  The full risk of ERM1, ERM1P (the ERM1
+    series at E/T) and ERM2 (the parent-sphere series) is exact up to the
+    series error estimate, and a gap violates the bound only beyond a margin
+    of 3 times that estimate.  Where the estimate exceeds ``TAIL_WARN`` the
+    full risk is a ``mc_samples``-point Monte-Carlo estimate instead, with a
+    3-stderr margin.  ``optimizer_replicas`` independent minimizations per
+    set average out the algorithm's direction-of-approach noise.  Sets where
+    no replica converges are excluded and counted in ``failures``.
     """
     scheme = Scheme.coerce(scheme)
     base = optim or OptimConfig(restarts=4, max_iters=3000)
@@ -289,7 +316,7 @@ def generalization_experiment(
                 result = minimize(training, target, replace(base, seed=(*run_seed, 2, replica)))
                 if not result.converged:
                     continue
-                estimate, stderr = full_risk_mc(
+                full, error = _full_risk(
                     scheme,
                     target,
                     _realify_raw(result.transfer.entries),
@@ -297,11 +324,11 @@ def generalization_experiment(
                     size,
                     energy,
                     mc_samples,
-                    seed=(*run_seed, 3, replica),
+                    (*run_seed, 3, replica),
                 )
-                gap = abs(estimate - result.risk_final)
+                gap = abs(full - result.risk_final)
                 replica_gaps.append(gap)
-                if gap - 3.0 * stderr > bound_value:
+                if gap - 3.0 * error > bound_value:
                     margin_ok = False
             if not replica_gaps:
                 failures += 1

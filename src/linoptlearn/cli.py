@@ -569,7 +569,7 @@ def cmd_swap_risk(config: SwapRiskConfig, workers: int, out, fmt) -> int:
                 seed=substream(config.base_seed, seed, 2),
             )
             exact = empirical_risk(training, target, hypothesis).value
-            model = ShotModel(shots=shots, seed=(config.base_seed + 7919 * seed) % 2**31)
+            model = ShotModel(shots=shots, seed=(config.base_seed, seed, 3))
             estimate = swap_test_risk(training, target, hypothesis, model).value
             rows.append(
                 {

@@ -261,10 +261,12 @@ def identify_junta(target, energy: float, shots: int, seed=None) -> tuple:
     complement only when both estimates exceed ``1 - 3 / sqrt(shots)``.
 
     Raises:
+        InvalidParameter: if ``shots <= 9``, where that threshold is not
+            positive and every mode would pass vacuously.
         DegenerateProbe: if probe rejection sampling fails 100 times.
     """
-    if shots < 1:
-        raise InvalidParameter("shots must be >= 1")
+    if shots <= 9:
+        raise InvalidParameter("shots must be > 9 for a positive pass threshold 1 - 3/sqrt(shots)")
     if energy < 0:
         raise InvalidParameter("energy must be nonnegative")
     o_u = np.asarray(_matrix(target), dtype=float)

@@ -31,7 +31,7 @@ SHELL_STOP = 1e-12
 """Shell magnitude below which the sphere-moment series is truncated."""
 
 TAIL_WARN = 1e-8
-"""Tail estimate above which a ConvergenceWarning is emitted."""
+"""Series error estimate above which a ConvergenceWarning is emitted."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -60,7 +60,7 @@ class RiskReport:
 
 @dataclass(frozen=True, eq=False)
 class SeriesResult:
-    """Truncated-series evaluation of the ERM1 full risk."""
+    """Truncated-series evaluation of a full risk."""
 
     value: float
     truncation_order: int
@@ -73,7 +73,7 @@ class ShotModel:
     """Finite-shot model for overlap estimation by interference and counting."""
 
     shots: int
-    seed: int | None = None
+    seed: int | tuple | None = None
 
     def __post_init__(self):
         if self.shots < 1:
@@ -224,21 +224,44 @@ def _factor_coeffs(a: float, order: int) -> np.ndarray:
     return c
 
 
-def series_full_risk(target, hypothesis, energy: float, modes: int | None = None, order: int = 200) -> SeriesResult:
-    """ERM1 full risk from the sphere-moment series in the singular values.
+def series_full_risk(
+    target,
+    hypothesis,
+    energy: float,
+    modes: int | None = None,
+    order: int = 200,
+    *,
+    scheme=Scheme.ERM1,
+    count: int = 1,
+) -> SeriesResult:
+    """Full risk of any training scheme from the sphere-moment series.
 
-    Writing ``kappa_j`` for the singular values of ``O_U - O_V``, the sphere
-    average of the overlap has the expansion
+    Writing ``kappa_j`` for the singular values of ``O_U - O_V`` and ``c_s``
+    for the degree-s coefficient of ``prod_j (1 + kappa_j^2 t / 2)^(-1/2)``,
+    the ERM1 full risk (energy E per state, the sphere of radius sqrt(2E) in
+    R^(2M)) is one minus
 
-        sum_s (2E)^s Gamma(M) / Gamma(M + s) * c_s,
+        sum_s (2E)^s Gamma(M) / Gamma(M + s) * c_s.
 
-    where ``c_s`` is the degree-s coefficient of
-    ``prod_j (1 + kappa_j^2 t / 2)^(-1/2)``.  Shells are accumulated until
-    their magnitude drops below 1e-12 or ``order`` is reached; the estimate of
-    the dropped tail is the magnitude of the last shell.
+    ``ERM1P`` is the same series at energy ``E / count``.  For ``ERM2`` the
+    first block of a uniform point on the parent sphere in R^(2MT),
+    ``T = count``, is ``sqrt(2E B) u`` with ``B ~ Beta(M, M(T-1))``; since
+    ``E[B^s] = (M)_s / (MT)_s`` the factor becomes ``Gamma(MT) / Gamma(MT + s)``.
+
+    Shells are accumulated until their magnitude drops below 1e-12 or
+    ``order`` is reached.  ``error_estimate`` is the magnitude of the last
+    shell (the dropped tail) plus the rounding error of the alternating sum,
+    ``max_s |shell_s| * 2^-52`` per shell; at large ``2E kappa^2`` the shells
+    grow far beyond 1 and cancellation, not truncation, limits the accuracy.
+    A ``ConvergenceWarning`` is emitted when the estimate exceeds
+    ``TAIL_WARN``; there ``generalization_experiment`` and ``lipschitz_check``
+    fall back to ``full_risk_mc``.
     """
+    scheme = Scheme.coerce(scheme)
     if order < 1:
         raise InvalidParameter("order must be >= 1")
+    if count < 1 or energy < 0:
+        raise InvalidParameter("count >= 1 and energy >= 0 required")
     o_u = np.asarray(_matrix(target), dtype=float)
     o_v = np.asarray(_matrix(hypothesis), dtype=float)
     if o_u.shape != o_v.shape:
@@ -246,6 +269,9 @@ def series_full_risk(target, hypothesis, energy: float, modes: int | None = None
     m = o_u.shape[0] // 2
     if modes is not None and modes != m:
         raise DimensionMismatch(f"matrices act on {m} modes, not {modes}")
+    if scheme == Scheme.ERM1P:
+        energy = energy / count
+    dim = m * count if scheme == Scheme.ERM2 else m  # Gamma(dim) / Gamma(dim + s)
     kappa = np.sort(np.linalg.svd(o_u - o_v, compute_uv=False))[::-1]
     coeffs = np.zeros(order + 1)
     coeffs[0] = 1.0
@@ -254,33 +280,36 @@ def series_full_risk(target, hypothesis, energy: float, modes: int | None = None
             continue
         coeffs = np.convolve(coeffs, _factor_coeffs(0.5 * k * k, order))[: order + 1]
     total = 0.0
-    factor = 1.0  # (2E)^s Gamma(M) / Gamma(M + s)
+    factor = 1.0  # (2E)^s Gamma(dim) / Gamma(dim + s)
     last = prev = math.inf
+    largest = 0.0
     used = 0
     for s in range(order + 1):
         term = factor * coeffs[s]
         total += term
         used = s
         prev, last = last, abs(term)
+        largest = max(largest, last)
         if s >= 1 and max(last, prev) < SHELL_STOP:
             break
-        factor *= 2.0 * energy / (m + s)
-    error = last if math.isfinite(last) else math.inf
+        factor *= 2.0 * energy / (dim + s)
     if not math.isfinite(total):
         warnings.warn(
             "sphere-moment series overflowed; result is unusable at this energy",
             ConvergenceWarning,
         )
         return SeriesResult(math.nan, used, kappa, math.inf)
+    error = last + largest * 2.0**-52 * (used + 1)
     if error > TAIL_WARN:
         warnings.warn(
-            f"series tail estimate {error:.3e} exceeds {TAIL_WARN:.1e} at order {used}",
+            f"series error estimate {error:.3e} exceeds {TAIL_WARN:.1e} at order {used}",
             ConvergenceWarning,
         )
     value = 1.0 - total
-    if -1e-9 <= value < 0.0:
+    slack = 1e-9 + min(error, TAIL_WARN)  # clamp rounding, never a diverged sum
+    if -slack <= value < 0.0:
         value = 0.0
-    elif 1.0 < value <= 1.0 + 1e-9:
+    elif 1.0 < value <= 1.0 + slack:
         value = 1.0
     return SeriesResult(value, used, kappa, error)
 

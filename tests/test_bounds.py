@@ -4,9 +4,13 @@ import numpy as np
 import pytest
 
 import linoptlearn as ll
+import linoptlearn.bounds as bounds_module
 from linoptlearn.bounds import concentration_tail_report, sphere_gradient_bound_check
+from linoptlearn.core import substream
 from linoptlearn.errors import InvalidParameter
 from linoptlearn.optimize import OptimConfig
+from linoptlearn.risk import TAIL_WARN, full_risk_mc
+from linoptlearn.training import Scheme
 
 
 def test_constant_matches_closed_form():
@@ -170,3 +174,41 @@ def test_gap_bound_dispatch():
     assert ll.gap_bound("ERM1", p) == ll.gap_bound_erm1(p)
     assert ll.gap_bound("ERM1P", p) == ll.gap_bound_erm1_prime(p)
     assert ll.gap_bound("ERM2", p) == ll.gap_bound_erm2(p)
+
+
+def _record_mc(monkeypatch):
+    calls = []
+
+    def recording(*args, **kwargs):
+        result = full_risk_mc(*args, **kwargs)
+        calls.append((Scheme.coerce(args[0]), result))
+        return result
+
+    monkeypatch.setattr(bounds_module, "full_risk_mc", recording)
+    return calls
+
+
+def test_experiments_use_the_series_at_moderate_energy(monkeypatch):
+    calls = _record_mc(monkeypatch)
+    first = ll.random_linear_optical(2, seed=[3, 0])
+    second = ll.random_linear_optical(2, seed=[3, 1])
+    report = ll.lipschitz_check(first, second, 1.0, trials=1, seed=(3, 2))
+    assert report.full_gap_erm1_stderr < TAIL_WARN and report.full_gap_erm2_stderr < TAIL_WARN
+    ll.generalization_experiment(
+        "ERM1P", 2, 1.0, (2,), 0.1, 1, seed=0,
+        optim=OptimConfig(restarts=2, max_iters=1500, eval_stride=5),
+    )
+    assert calls == []
+
+
+def test_lipschitz_falls_back_to_mc_where_the_series_cancels(monkeypatch):
+    # At E=16 the ERM1 series of this pair cancels to garbage (-5e8 before the
+    # error estimate covered rounding), so the full risk must come from MC.
+    calls = _record_mc(monkeypatch)
+    rng = substream(7)
+    first, second = ll.random_linear_optical(2, rng), ll.random_linear_optical(2, rng)
+    report = ll.lipschitz_check(first, second, 16.0, trials=1, seed=5, mc_samples=20000)
+    fallback = [value for scheme, (value, _) in calls if scheme == Scheme.ERM1]
+    assert fallback and all(0.0 <= value <= 1.0 for value in fallback)
+    assert 0.0 <= report.full_gap_erm1 <= 1.0
+    assert report.full_gap_erm1_stderr > 0.0

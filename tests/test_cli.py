@@ -8,6 +8,7 @@ import pytest
 
 import linoptlearn as ll
 from linoptlearn import cli
+from linoptlearn.core import as_rng
 
 
 ERM_INI = """
@@ -161,6 +162,23 @@ def test_cmd_swap_risk(tmp_path):
     assert len(rows) == 4
     high_shots = [r for r in rows if r["shots"] == "5000"]
     assert all(float(r["abs_error"]) < 0.05 for r in high_shots)
+
+
+def test_swap_risk_shot_seeds_do_not_collide(tmp_path, monkeypatch):
+    # The old seed (base_seed + 7919 * seed) mod 2^31 gave base seed 7919 at
+    # seed 0 the same shot stream as base seed 0 at seed 1.
+    models = []
+
+    def recording(training, target, hypothesis, model):
+        models.append(model)
+        return ll.swap_test_risk(training, target, hypothesis, model)
+
+    monkeypatch.setattr(cli, "swap_test_risk", recording)
+    for base_seed, seed_count in ((7919, 1), (0, 2)):
+        config = cli.SwapRiskConfig(shots=(50,), seed_count=seed_count, base_seed=base_seed)
+        assert cli.cmd_swap_risk(config, workers=1, out=str(tmp_path / "s.csv"), fmt="csv") == 0
+    first, _, second = models  # (7919, seed 0), (0, seed 0), (0, seed 1)
+    assert as_rng(first.seed).random(4).tolist() != as_rng(second.seed).random(4).tolist()
 
 
 def test_cmd_verify_pass_and_negative_control(tmp_path, capsys):

@@ -177,3 +177,13 @@ def test_identify_junta_validation():
         ll.identify_junta(target, 1.0, 0, seed=62)
     with pytest.raises(InvalidParameter):
         ll.identify_junta(target, -1.0, 10, seed=63)
+
+
+def test_identify_junta_rejects_vacuous_shot_counts():
+    # At shots <= 9 the pass threshold 1 - 3/sqrt(shots) is <= 0: every mode
+    # passed and the function returned () for this 3-mode junta.
+    spec, target = ll.random_junta(6, 3, seed=3)
+    for shots in (1, 4, 8, 9):
+        with pytest.raises(InvalidParameter):
+            ll.identify_junta(target, 4.0, shots, seed=0)
+    assert ll.identify_junta(target, 4.0, 16, seed=0) == spec.junta_modes == (1, 2, 4)

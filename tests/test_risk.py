@@ -1,10 +1,14 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import linoptlearn as ll
-from linoptlearn.core import _realify_raw
+from linoptlearn.core import _realify_raw, substream
 from linoptlearn.errors import ConvergenceWarning, DimensionMismatch, InvalidParameter, NonUnitaryInput
-from linoptlearn.risk import ShotModel
+from linoptlearn.risk import TAIL_WARN, ShotModel
 
 
 def _fd_gradient(training, target, g, step=1e-5):
@@ -221,3 +225,116 @@ def test_risk_report_json():
     data = report.to_json()
     assert set(data) == {"value", "per_term", "shots"}
     assert len(data["per_term"]) == 3
+
+
+def _cancelling_pair():
+    rng = substream(7)
+    return ll.random_linear_optical(2, rng), ll.random_linear_optical(2, rng)
+
+
+@pytest.mark.parametrize("energy", [8.0, 12.0, 16.0])
+def test_series_cancellation_is_flagged(energy):
+    # Shells of the alternating sum reach ~1e9 at E=8 and ~1e24 at E=16; the
+    # parent value fell with energy (E=8) and went negative (E=12, 16) while
+    # the tail estimate stayed near 1e-13.
+    a, b = _cancelling_pair()
+    with pytest.warns(ConvergenceWarning):
+        result = ll.series_full_risk(a, b, energy)
+    assert result.error_estimate > TAIL_WARN
+
+
+def test_series_moderate_energy_stays_quiet_and_monotone():
+    a, b = _cancelling_pair()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", ConvergenceWarning)
+        values = [ll.series_full_risk(a, b, e).value for e in (1.0, 2.0, 4.0)]
+    assert all(q > p for p, q in zip(values, values[1:]))
+    assert all(0.0 <= v <= 1.0 for v in values)
+
+
+@pytest.mark.parametrize("scheme", ["ERM1", "ERM1P", "ERM2"])
+@pytest.mark.parametrize("modes,size,energy", [(2, 3, 1.0), (2, 8, 4.0), (3, 4, 2.0)])
+def test_series_matches_mc_for_every_scheme(scheme, modes, size, energy):
+    rng = substream(3100, modes, size)
+    target = ll.random_linear_optical(modes, rng)
+    other = ll.random_linear_optical(modes, rng)
+    series = ll.series_full_risk(target, other, energy, scheme=scheme, count=size)
+    assert series.error_estimate < TAIL_WARN
+    estimate, stderr = ll.full_risk_mc(scheme, target, other, modes, size, energy, 200000, seed=(3100, modes, size))
+    assert abs(series.value - estimate) < 3.0 * stderr
+
+
+def test_series_scheme_defaults_and_validation():
+    target = ll.random_linear_optical(2, seed=46)
+    other = ll.random_linear_optical(2, seed=47)
+    plain = ll.series_full_risk(target, other, 1.5)
+    assert plain.value == ll.series_full_risk(target, other, 1.5, scheme="ERM1", count=5).value
+    with pytest.raises(InvalidParameter):
+        ll.series_full_risk(target, other, 1.5, scheme="ERM2", count=0)
+    with pytest.raises(InvalidParameter):
+        ll.series_full_risk(target, other, -1.0)
+    with pytest.raises(InvalidParameter):
+        ll.series_full_risk(target, other, 1.0, scheme="ERM3")
+
+
+def _quiet_series(*args, **kwargs):
+    """Series result, or None when it warns (the invariants hold only then)."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", ConvergenceWarning)
+        try:
+            return ll.series_full_risk(*args, **kwargs)
+        except ConvergenceWarning:
+            return None
+
+
+_pairs = st.tuples(st.integers(0, 2**16), st.integers(1, 3))
+_energies = st.floats(0.0, 16.0, allow_nan=False)
+
+
+def _pair(seed, modes):
+    rng = substream(seed)
+    return ll.random_linear_optical(modes, rng), ll.random_linear_optical(modes, rng)
+
+
+@settings(max_examples=60, deadline=None)
+@example(pair=(7, 2), low=4.0, high=8.0, scheme="ERM1", size=1)
+@given(
+    pair=_pairs,
+    low=_energies,
+    high=_energies,
+    scheme=st.sampled_from(["ERM1", "ERM1P", "ERM2"]),
+    size=st.integers(1, 8),
+)
+def test_series_invariants_bounded_and_monotone(pair, low, high, scheme, size):
+    low, high = sorted((low, high))
+    a, b = _pair(*pair)
+    first = _quiet_series(a, b, low, scheme=scheme, count=size)
+    second = _quiet_series(a, b, high, scheme=scheme, count=size)
+    for result in (first, second):
+        if result is not None:
+            assert 0.0 <= result.value <= 1.0
+    if first is not None and second is not None:
+        assert second.value >= first.value - (first.error_estimate + second.error_estimate)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    pair=_pairs,
+    energy=_energies,
+    scheme=st.sampled_from(["ERM1", "ERM1P", "ERM2"]),
+    size=st.integers(1, 8),
+)
+def test_series_invariants_symmetry_and_scheme_reductions(pair, energy, scheme, size):
+    a, b = _pair(*pair)
+    forward = _quiet_series(a, b, energy, scheme=scheme, count=size)
+    backward = _quiet_series(b, a, energy, scheme=scheme, count=size)
+    if forward is not None and backward is not None:
+        assert abs(forward.value - backward.value) <= 1e-12 + forward.error_estimate + backward.error_estimate
+    erm1 = _quiet_series(a, b, energy)
+    erm2_single = _quiet_series(a, b, energy, scheme="ERM2", count=1)
+    if erm1 is not None and erm2_single is not None:
+        assert erm2_single.value == erm1.value
+    erm1p = _quiet_series(a, b, energy, scheme="ERM1P", count=size)
+    erm1_scaled = _quiet_series(a, b, energy / size)
+    if erm1p is not None and erm1_scaled is not None:
+        assert erm1p.value == erm1_scaled.value
