@@ -9,7 +9,6 @@ brute force as an independent oracle.
 
 from .core import (
     ComplexTransfer,
-    Conventions,
     JuntaSpec,
     MeanVector,
     SymplecticOrthogonal,
@@ -58,7 +57,6 @@ __all__ = [
     "BoundParams",
     "BoundReport",
     "ComplexTransfer",
-    "Conventions",
     "FockSpace",
     "JuntaReport",
     "JuntaSpec",

@@ -9,25 +9,32 @@ swap-risk  shot-noise risk estimates against the closed form
 verify     self-check suite (oracle agreement, gradients, Lipschitz, marginals)
 
 Configs are flat INI files with one section per command; every value has a
-default, so a missing file or section just runs the stock experiment.  Output
-rows are produced in sorted sweep order, making repeated runs byte-identical
-for identical configs.  ``--workers`` (or LINOPTLEARN_WORKERS) parallelizes
-sweep points without changing the output.
+default, so a missing file or section just runs the stock experiment.  Each
+key is parsed by the type of its config field: list values are separated by
+``,`` or ``;``, an empty ``junta_modes`` draws a random junta for each seed,
+and ``scheme`` is case-insensitive.  An unknown key or a value that does not
+parse exits with status 2.  Output rows are produced in sorted sweep order,
+making repeated runs byte-identical for identical configs.  ``--workers`` (or
+LINOPTLEARN_WORKERS) parallelizes sweep points without changing the output;
+the pool never exceeds the number of sweep points.
 """
 
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import configparser
 import csv
 import dataclasses
+import functools
 import io
+import itertools
 import json
 import math
 import os
 import sys
 import time
+import typing
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,28 +81,33 @@ EXIT_CONFIG = 2
 EXIT_VERIFY = 3
 
 
-def _parse_floats(text: str) -> tuple:
-    return tuple(float(v) for v in str(text).replace(";", ",").split(",") if str(v).strip())
-
-
-def _parse_ints(text: str) -> tuple:
-    return tuple(int(v) for v in str(text).replace(";", ",").split(",") if str(v).strip())
-
-
 def _fmt(value) -> str:
+    """Text of a config value in the INI sidecar, or of a value in a CSV cell."""
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
         return repr(value)
+    if isinstance(value, tuple):
+        return ", ".join(_fmt(item) for item in value)
+    if isinstance(value, Scheme):
+        return value.value
     return str(value)
+
+
+def _parse(kind, text: str):
+    """Decode INI ``text`` into a value of the config field type ``kind``."""
+    if typing.get_origin(kind) is tuple:
+        item = typing.get_args(kind)[0]
+        return tuple(item(v) for v in text.replace(";", ",").split(",") if v.strip())
+    return Scheme.coerce(text) if kind is Scheme else kind(text)
 
 
 @dataclass(frozen=True)
 class ErmConfig:
-    scheme: str = "ERM1"
+    scheme: Scheme = Scheme.ERM1
     modes: int = 4
-    energies: tuple = (1.0, 4.0)
-    sizes: tuple = (2, 4, 8)
+    energies: tuple[float, ...] = (1.0, 4.0)
+    sizes: tuple[int, ...] = (2, 4, 8)
     seed_count: int = 5
     base_seed: int = 0
     restarts: int = 10
@@ -103,41 +115,12 @@ class ErmConfig:
 
     SECTION = "erm"
 
-    def to_section(self) -> dict:
-        return {
-            "scheme": self.scheme,
-            "modes": str(self.modes),
-            "energies": ", ".join(repr(e) for e in self.energies),
-            "sizes": ", ".join(str(t) for t in self.sizes),
-            "seed_count": str(self.seed_count),
-            "base_seed": str(self.base_seed),
-            "restarts": str(self.restarts),
-            "max_iters": str(self.max_iters),
-        }
-
-    @classmethod
-    def from_section(cls, section) -> "ErmConfig":
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(section) - known
-        if unknown:
-            raise InvalidParameter(f"unknown keys in [{cls.SECTION}]: {sorted(unknown)}")
-        return cls(
-            scheme=Scheme.coerce(section.get("scheme", cls.scheme)).value,
-            modes=int(section.get("modes", cls.modes)),
-            energies=_parse_floats(section.get("energies", "1.0, 4.0")),
-            sizes=_parse_ints(section.get("sizes", "2, 4, 8")),
-            seed_count=int(section.get("seed_count", cls.seed_count)),
-            base_seed=int(section.get("base_seed", cls.base_seed)),
-            restarts=int(section.get("restarts", cls.restarts)),
-            max_iters=int(section.get("max_iters", cls.max_iters)),
-        )
-
 
 @dataclass(frozen=True)
 class JuntaConfig:
     modes: int = 8
     junta_size: int = 4
-    junta_modes: tuple = ()  # empty -> random subset per seed
+    junta_modes: tuple[int, ...] = ()  # empty -> random subset per seed
     training_size: int = 4
     energy_scale: float = 1.0
     seed_count: int = 10
@@ -147,120 +130,32 @@ class JuntaConfig:
 
     SECTION = "junta"
 
-    def to_section(self) -> dict:
-        return {
-            "modes": str(self.modes),
-            "junta_size": str(self.junta_size),
-            "junta_modes": ", ".join(str(j) for j in self.junta_modes),
-            "training_size": str(self.training_size),
-            "energy_scale": repr(self.energy_scale),
-            "seed_count": str(self.seed_count),
-            "base_seed": str(self.base_seed),
-            "restarts": str(self.restarts),
-            "max_iters": str(self.max_iters),
-        }
-
-    @classmethod
-    def from_section(cls, section) -> "JuntaConfig":
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(section) - known
-        if unknown:
-            raise InvalidParameter(f"unknown keys in [{cls.SECTION}]: {sorted(unknown)}")
-        raw_modes = section.get("junta_modes", "")
-        return cls(
-            modes=int(section.get("modes", cls.modes)),
-            junta_size=int(section.get("junta_size", cls.junta_size)),
-            junta_modes=_parse_ints(raw_modes) if str(raw_modes).strip() else (),
-            training_size=int(section.get("training_size", cls.training_size)),
-            energy_scale=float(section.get("energy_scale", cls.energy_scale)),
-            seed_count=int(section.get("seed_count", cls.seed_count)),
-            base_seed=int(section.get("base_seed", cls.base_seed)),
-            restarts=int(section.get("restarts", cls.restarts)),
-            max_iters=int(section.get("max_iters", cls.max_iters)),
-        )
-
 
 @dataclass(frozen=True)
 class BoundsConfig:
-    scheme: str = "ERM2"
+    scheme: Scheme = Scheme.ERM2
     modes: int = 2
     energy: float = 1.0
     delta: float = 0.1
-    sizes: tuple = (2, 4, 8, 16)
+    sizes: tuple[int, ...] = (2, 4, 8, 16)
     sets_per_size: int = 20
     base_seed: int = 0
     mc_samples: int = 200000
 
     SECTION = "bounds"
 
-    def to_section(self) -> dict:
-        return {
-            "scheme": self.scheme,
-            "modes": str(self.modes),
-            "energy": repr(self.energy),
-            "delta": repr(self.delta),
-            "sizes": ", ".join(str(t) for t in self.sizes),
-            "sets_per_size": str(self.sets_per_size),
-            "base_seed": str(self.base_seed),
-            "mc_samples": str(self.mc_samples),
-        }
-
-    @classmethod
-    def from_section(cls, section) -> "BoundsConfig":
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(section) - known
-        if unknown:
-            raise InvalidParameter(f"unknown keys in [{cls.SECTION}]: {sorted(unknown)}")
-        return cls(
-            scheme=Scheme.coerce(section.get("scheme", cls.scheme)).value,
-            modes=int(section.get("modes", cls.modes)),
-            energy=float(section.get("energy", cls.energy)),
-            delta=float(section.get("delta", cls.delta)),
-            sizes=_parse_ints(section.get("sizes", "2, 4, 8, 16")),
-            sets_per_size=int(section.get("sets_per_size", cls.sets_per_size)),
-            base_seed=int(section.get("base_seed", cls.base_seed)),
-            mc_samples=int(section.get("mc_samples", cls.mc_samples)),
-        )
-
 
 @dataclass(frozen=True)
 class SwapRiskConfig:
-    scheme: str = "ERM1"
+    scheme: Scheme = Scheme.ERM1
     modes: int = 2
     size: int = 4
     energy: float = 1.0
-    shots: tuple = (100, 10000)
+    shots: tuple[int, ...] = (100, 10000)
     seed_count: int = 5
     base_seed: int = 0
 
     SECTION = "swap-risk"
-
-    def to_section(self) -> dict:
-        return {
-            "scheme": self.scheme,
-            "modes": str(self.modes),
-            "size": str(self.size),
-            "energy": repr(self.energy),
-            "shots": ", ".join(str(s) for s in self.shots),
-            "seed_count": str(self.seed_count),
-            "base_seed": str(self.base_seed),
-        }
-
-    @classmethod
-    def from_section(cls, section) -> "SwapRiskConfig":
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(section) - known
-        if unknown:
-            raise InvalidParameter(f"unknown keys in [{cls.SECTION}]: {sorted(unknown)}")
-        return cls(
-            scheme=Scheme.coerce(section.get("scheme", cls.scheme)).value,
-            modes=int(section.get("modes", cls.modes)),
-            size=int(section.get("size", cls.size)),
-            energy=float(section.get("energy", cls.energy)),
-            shots=_parse_ints(section.get("shots", "100, 10000")),
-            seed_count=int(section.get("seed_count", cls.seed_count)),
-            base_seed=int(section.get("base_seed", cls.base_seed)),
-        )
 
 
 @dataclass(frozen=True)
@@ -274,42 +169,30 @@ class VerifyConfig:
 
     SECTION = "verify"
 
-    def to_section(self) -> dict:
-        return {f.name: str(getattr(self, f.name)) for f in dataclasses.fields(self)}
 
-    @classmethod
-    def from_section(cls, section) -> "VerifyConfig":
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(section) - known
-        if unknown:
-            raise InvalidParameter(f"unknown keys in [{cls.SECTION}]: {sorted(unknown)}")
-        return cls(**{k: int(section[k]) for k in section})
-
-
-_CONFIG_TYPES = {
-    "erm": ErmConfig,
-    "junta": JuntaConfig,
-    "bounds": BoundsConfig,
-    "swap-risk": SwapRiskConfig,
-    "verify": VerifyConfig,
-}
+def _section(config) -> dict:
+    return {f.name: _fmt(getattr(config, f.name)) for f in dataclasses.fields(config)}
 
 
 def config_to_ini(config) -> str:
     parser = configparser.ConfigParser()
-    parser[config.SECTION] = config.to_section()
+    parser[config.SECTION] = _section(config)
     out = io.StringIO()
     parser.write(out)
     return out.getvalue()
 
 
 def config_from_ini(text: str, command: str):
+    """Config for ``command`` from INI ``text``; absent keys keep their defaults."""
     parser = configparser.ConfigParser()
     parser.read_string(text)
     cls = _CONFIG_TYPES[command]
-    if parser.has_section(cls.SECTION):
-        return cls.from_section(dict(parser[cls.SECTION]))
-    return cls()
+    section = dict(parser[cls.SECTION]) if parser.has_section(cls.SECTION) else {}
+    kinds = typing.get_type_hints(cls)
+    unknown = set(section) - set(kinds)
+    if unknown:
+        raise InvalidParameter(f"unknown keys in [{cls.SECTION}]: {sorted(unknown)}")
+    return cls(**{key: _parse(kinds[key], value) for key, value in section.items()})
 
 
 def load_config(path: str | None, command: str):
@@ -319,7 +202,7 @@ def load_config(path: str | None, command: str):
         return config_from_ini(handle.read(), command)
 
 
-def _write_rows(rows, header, out, fmt, command, config):
+def _write_rows(rows, header, out, fmt, config):
     if fmt == "csv":
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")
@@ -335,10 +218,10 @@ def _write_rows(rows, header, out, fmt, command, config):
     with open(out, "w", encoding="utf-8", newline="") as handle:
         handle.write(payload)
     sidecar = {
-        "command": command,
+        "command": config.SECTION,
         "version": __version__,
         "format": fmt,
-        "config": config.to_section(),
+        "config": _section(config),
     }
     with open(out + ".meta.json", "w", encoding="utf-8") as handle:
         json.dump(sidecar, handle, indent=2, sort_keys=True)
@@ -358,20 +241,24 @@ ERM_HEADER = [
 ]
 
 
-def _erm_point(payload):
-    scheme, modes, energy, e_index, size, t_index, seed, base_seed, restarts, max_iters = payload
-    target = random_linear_optical(modes, seed=substream(base_seed, seed, 0))
+def _erm_point(config: ErmConfig, point):
+    e_index, t_index, seed = point
+    energy, size, base_seed = config.energies[e_index], config.sizes[t_index], config.base_seed
+    target = random_linear_optical(config.modes, seed=substream(base_seed, seed, 0))
     training = sample_training_set(
-        scheme, modes, size, energy, seed=substream(base_seed, seed, 1, e_index, t_index)
+        config.scheme, config.modes, size, energy,
+        seed=substream(base_seed, seed, 1, e_index, t_index),
     )
     cfg = OptimConfig(
-        restarts=restarts, max_iters=max_iters, seed=(base_seed, seed, 2, e_index, t_index)
+        restarts=config.restarts,
+        max_iters=config.max_iters,
+        seed=(base_seed, seed, 2, e_index, t_index),
     )
     result = minimize(training, target, cfg)
     o_w = _realify_raw(result.transfer.entries)
     return {
-        "scheme": scheme.value,
-        "M": modes,
+        "scheme": config.scheme.value,
+        "M": config.modes,
         "E": energy,
         "T": size,
         "seed": seed,
@@ -382,34 +269,22 @@ def _erm_point(payload):
     }
 
 
-def _map_points(worker, points, workers: int):
-    if workers <= 1 or len(points) <= 1:
-        return [worker(p) for p in points]
-    with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(worker, points))
+def _map_points(worker, config, points, workers: int):
+    """``[worker(config, p) for p in points]``, over at most ``len(points)`` processes."""
+    task = functools.partial(worker, config)
+    workers = min(workers, len(points))
+    if workers <= 1:
+        return [task(p) for p in points]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(task, points))
 
 
 def cmd_erm(config: ErmConfig, workers: int, out, fmt) -> int:
-    scheme = Scheme.coerce(config.scheme)
-    points = [
-        (
-            scheme,
-            config.modes,
-            energy,
-            e_index,
-            size,
-            t_index,
-            seed,
-            config.base_seed,
-            config.restarts,
-            config.max_iters,
-        )
-        for e_index, energy in enumerate(config.energies)
-        for t_index, size in enumerate(config.sizes)
-        for seed in range(config.seed_count)
-    ]
-    rows = _map_points(_erm_point, points, workers)
-    _write_rows(rows, ERM_HEADER, out, fmt, "erm", config)
+    points = itertools.product(
+        range(len(config.energies)), range(len(config.sizes)), range(config.seed_count)
+    )
+    rows = _map_points(_erm_point, config, list(points), workers)
+    _write_rows(rows, ERM_HEADER, out, fmt, config)
     return EXIT_OK
 
 
@@ -432,28 +307,34 @@ JUNTA_HEADER = [
 ]
 
 
-def _junta_point(payload):
-    (modes, junta_size, junta_modes, training_size, energy_scale, seed, base_seed, restarts, max_iters) = payload
+def _junta_point(config: JuntaConfig, seed: int):
+    modes = config.modes
     spec, target = random_junta(
-        modes, junta_size, seed=substream(base_seed, seed, 0), junta_modes=junta_modes or None
+        modes,
+        config.junta_size,
+        seed=substream(config.base_seed, seed, 0),
+        junta_modes=config.junta_modes or None,
     )
     policy = StagePolicy(
-        min_training_size=training_size,
-        energy_scale=energy_scale,
+        min_training_size=config.training_size,
+        energy_scale=config.energy_scale,
         optim=OptimConfig(
-            restarts=restarts, max_iters=max_iters, stop_risk=1e-13, plateau_window=500
+            restarts=config.restarts,
+            max_iters=config.max_iters,
+            stop_risk=1e-13,
+            plateau_window=500,
         ),
     )
     row = {
         "seed": seed,
         "M": modes,
-        "junta_size": junta_size,
-        "T": training_size,
-        "energy_scale": energy_scale,
+        "junta_size": config.junta_size,
+        "T": config.training_size,
+        "energy_scale": config.energy_scale,
         "true_junta": ";".join(str(j) for j in spec.junta_modes),
     }
     try:
-        report = learn_junta(target, policy, seed=(base_seed, seed, 1))
+        report = learn_junta(target, policy, seed=(config.base_seed, seed, 1))
     except StageLimitReached:
         row.update(
             status="stage_limit",
@@ -485,22 +366,8 @@ def _junta_point(payload):
 
 
 def cmd_junta(config: JuntaConfig, workers: int, out, fmt) -> int:
-    points = [
-        (
-            config.modes,
-            config.junta_size,
-            config.junta_modes,
-            config.training_size,
-            config.energy_scale,
-            seed,
-            config.base_seed,
-            config.restarts,
-            config.max_iters,
-        )
-        for seed in range(config.seed_count)
-    ]
-    rows = _map_points(_junta_point, points, workers)
-    _write_rows(rows, JUNTA_HEADER, out, fmt, "junta", config)
+    rows = _map_points(_junta_point, config, list(range(config.seed_count)), workers)
+    _write_rows(rows, JUNTA_HEADER, out, fmt, config)
     return EXIT_OK
 
 
@@ -548,7 +415,7 @@ def cmd_bounds(config: BoundsConfig, workers: int, out, fmt) -> int:
                 "failures": report.failures,
             }
         )
-    _write_rows(rows, BOUNDS_HEADER, out, fmt, "bounds", config)
+    _write_rows(rows, BOUNDS_HEADER, out, fmt, config)
     return EXIT_OK
 
 
@@ -556,7 +423,6 @@ SWAP_HEADER = ["scheme", "M", "T", "E", "shots", "seed", "exact_risk", "swap_ris
 
 
 def cmd_swap_risk(config: SwapRiskConfig, workers: int, out, fmt) -> int:
-    scheme = Scheme.coerce(config.scheme)
     rows = []
     for shots in config.shots:
         for seed in range(config.seed_count):
@@ -565,7 +431,7 @@ def cmd_swap_risk(config: SwapRiskConfig, workers: int, out, fmt) -> int:
                 haar_unitary(config.modes, substream(config.base_seed, seed, 1))
             )
             training = sample_training_set(
-                scheme, config.modes, config.size, config.energy,
+                config.scheme, config.modes, config.size, config.energy,
                 seed=substream(config.base_seed, seed, 2),
             )
             exact = empirical_risk(training, target, hypothesis).value
@@ -573,7 +439,7 @@ def cmd_swap_risk(config: SwapRiskConfig, workers: int, out, fmt) -> int:
             estimate = swap_test_risk(training, target, hypothesis, model).value
             rows.append(
                 {
-                    "scheme": scheme.value,
+                    "scheme": config.scheme.value,
                     "M": config.modes,
                     "T": config.size,
                     "E": config.energy,
@@ -584,7 +450,7 @@ def cmd_swap_risk(config: SwapRiskConfig, workers: int, out, fmt) -> int:
                     "abs_error": abs(exact - estimate),
                 }
             )
-    _write_rows(rows, SWAP_HEADER, out, fmt, "swap-risk", config)
+    _write_rows(rows, SWAP_HEADER, out, fmt, config)
     return EXIT_OK
 
 
@@ -701,7 +567,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("erm", "junta", "bounds", "swap-risk", "verify"):
+    for name in _CONFIG_TYPES:
         cmd = sub.add_parser(name)
         cmd.add_argument("--config", default=None, help="INI config file")
         cmd.add_argument("--seed", type=int, default=None, help="override the base seed")
@@ -712,12 +578,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 _COMMANDS = {
-    "erm": cmd_erm,
-    "junta": cmd_junta,
-    "bounds": cmd_bounds,
-    "swap-risk": cmd_swap_risk,
-    "verify": cmd_verify,
+    ErmConfig: cmd_erm,
+    JuntaConfig: cmd_junta,
+    BoundsConfig: cmd_bounds,
+    SwapRiskConfig: cmd_swap_risk,
+    VerifyConfig: cmd_verify,
 }
+_CONFIG_TYPES = {cls.SECTION: cls for cls in _COMMANDS}
 
 
 def main(argv=None) -> int:
@@ -726,17 +593,17 @@ def main(argv=None) -> int:
         config = load_config(args.config, args.command)
         if args.seed is not None:
             config = dataclasses.replace(config, base_seed=args.seed)
+        workers = args.workers
+        if workers is None:
+            workers = int(os.environ.get(ENV_WORKERS, "1"))
     except (LinoptError, ValueError, KeyError, configparser.Error) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
-    workers = args.workers
-    if workers is None:
-        workers = int(os.environ.get(ENV_WORKERS, "1"))
     try:
-        return _COMMANDS[args.command](config, workers, args.out, args.format)
+        return _COMMANDS[type(config)](config, workers, args.out, args.format)
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO

@@ -15,7 +15,6 @@ All operations here are pure; random sampling takes an explicit seed or
 from __future__ import annotations
 
 from dataclasses import InitVar, dataclass
-from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -66,27 +65,6 @@ def symplectic_form(mode_count: int) -> np.ndarray:
     eye = np.eye(mode_count)
     zero = np.zeros((mode_count, mode_count))
     return np.block([[zero, eye], [-eye, zero]])
-
-
-@dataclass(frozen=True)
-class Conventions:
-    """Mode count plus the fixed quadrature ordering (q_1..q_M, p_1..p_M)."""
-
-    mode_count: int
-
-    def __post_init__(self):
-        if self.mode_count < 1:
-            raise InvalidParameter("mode_count must be a positive integer")
-
-    @cached_property
-    def omega(self) -> np.ndarray:
-        """The symplectic form; antisymmetric with omega @ omega = -I."""
-        return symplectic_form(self.mode_count)
-
-    def energy(self, x: np.ndarray) -> float:
-        """Photon-unit energy ||x||^2 / 2 of a mean vector."""
-        x = np.asarray(x, dtype=float)
-        return float(x @ x) / 2.0
 
 
 def _matrix(value) -> np.ndarray:
@@ -346,6 +324,8 @@ def random_junta(mode_count: int, size: int, seed=None, junta_modes: Sequence[in
     Returns ``(spec, embedded)`` where ``spec.junta_modes`` is the drawn (or
     given) mode subset and ``embedded`` the full-size matrix.
     """
+    if not 1 <= size <= mode_count:
+        raise InvalidParameter(f"junta size must be in [1, {mode_count}], got {size}")
     rng = as_rng(seed)
     if junta_modes is None:
         chosen = tuple(sorted(rng.choice(mode_count, size=size, replace=False) + 1))

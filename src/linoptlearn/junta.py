@@ -134,6 +134,11 @@ def _composite_risk(training, target, g_block: np.ndarray, junta: tuple) -> floa
     return float(terms.mean())
 
 
+def _fit_seed(seed, *key: int):
+    """Optimizer seed of one fit; ``None`` keeps the whole search on fresh entropy."""
+    return None if seed is None else (seed, *key)
+
+
 def learn_junta(target, policy: StagePolicy | None = None, seed: int | None = None) -> JuntaReport:
     """Staged search for the acted-on modes of ``target`` plus its action there.
 
@@ -179,7 +184,7 @@ def learn_junta(target, policy: StagePolicy | None = None, seed: int | None = No
         )
         results = []
         for index, cand in enumerate(candidates):
-            cfg = replace(policy.optim, seed=(0 if seed is None else seed, stage, index))
+            cfg = replace(policy.optim, seed=_fit_seed(seed, stage, index))
             results.append((cand, minimize(training, target, cfg, modes=cand)))
         energy_spent += stage_cost
         minimum = min(res.risk_final for _, res in results)
@@ -234,7 +239,7 @@ def learn_junta(target, policy: StagePolicy | None = None, seed: int | None = No
                 refit_energy,
                 seed=substream(seed, mode_count + 1),
             )
-            cfg = replace(policy.optim, seed=(0 if seed is None else seed, mode_count + 1, 0))
+            cfg = replace(policy.optim, seed=_fit_seed(seed, mode_count + 1, 0))
             refit = minimize(refit_training, target, cfg, modes=junta_modes)
             block, final_risk = refit.transfer.entries, refit.risk_final
         if final_risk < policy.termination_threshold:

@@ -14,7 +14,7 @@ at any logged trajectory point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.optimize
@@ -350,8 +350,3 @@ def minimize(training: TrainingSet, target, config: OptimConfig | None = None, m
         modes=problem.modes,
         trajectory=tuple(best_traj) if best_traj is not None else None,
     )
-
-
-def with_seed(cfg: OptimConfig, seed) -> OptimConfig:
-    """Copy of ``cfg`` with a different seed (restart substreams re-derive)."""
-    return replace(cfg, seed=seed)

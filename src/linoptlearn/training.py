@@ -19,11 +19,10 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
-from .core import MeanVector, as_rng, _vector
+from .core import as_rng, _vector
 from .errors import InvalidParameter, UnsupportedRegime
 
 
@@ -105,10 +104,6 @@ class TrainingSet:
     @property
     def size(self) -> int:
         return self.states.shape[0]
-
-    @cached_property
-    def mean_vectors(self) -> tuple:
-        return tuple(MeanVector(row) for row in self.states)
 
     def state_energies(self) -> np.ndarray:
         return np.sum(self.states**2, axis=1) / 2.0

@@ -1,10 +1,14 @@
 import csv
+import dataclasses
 import io
 import json
 import subprocess
 import sys
+import typing
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import linoptlearn as ll
 from linoptlearn import cli
@@ -69,17 +73,72 @@ base_seed = 0
 """
 
 
+CONFIG_TYPES = (cli.ErmConfig, cli.JuntaConfig, cli.BoundsConfig, cli.SwapRiskConfig, cli.VerifyConfig)
+
+# config_to_ini of each default config; the .meta.json sidecars carry the same text.
+DEFAULT_INIS = {
+    "erm": (
+        "[erm]\n"
+        "scheme = ERM1\nmodes = 4\nenergies = 1.0, 4.0\nsizes = 2, 4, 8\n"
+        "seed_count = 5\nbase_seed = 0\nrestarts = 10\nmax_iters = 4000\n\n"
+    ),
+    "junta": (
+        "[junta]\n"
+        "modes = 8\njunta_size = 4\njunta_modes = \ntraining_size = 4\n"
+        "energy_scale = 1.0\nseed_count = 10\nbase_seed = 0\nrestarts = 3\n"
+        "max_iters = 2500\n\n"
+    ),
+    "bounds": (
+        "[bounds]\n"
+        "scheme = ERM2\nmodes = 2\nenergy = 1.0\ndelta = 0.1\nsizes = 2, 4, 8, 16\n"
+        "sets_per_size = 20\nbase_seed = 0\nmc_samples = 200000\n\n"
+    ),
+    "swap-risk": (
+        "[swap-risk]\n"
+        "scheme = ERM1\nmodes = 2\nsize = 4\nenergy = 1.0\nshots = 100, 10000\n"
+        "seed_count = 5\nbase_seed = 0\n\n"
+    ),
+    "verify": (
+        "[verify]\n"
+        "oracle_instances = 20\ngradient_instances = 10\nlipschitz_trials = 100\n"
+        "marginal_sets = 20000\nseries_samples = 200000\nbase_seed = 0\n\n"
+    ),
+}
+
+FLOATS = st.floats(allow_nan=False) | st.just(0.1 + 0.2)
+FIELD_VALUES = {
+    int: st.integers(),
+    float: FLOATS,
+    tuple[int, ...]: st.lists(st.integers(), max_size=4).map(tuple),
+    tuple[float, ...]: st.lists(FLOATS, max_size=4).map(tuple),
+    ll.Scheme: st.sampled_from(ll.Scheme),
+}
+
+
 def _write(tmp_path, name, text):
     path = tmp_path / name
     path.write_text(text)
     return str(path)
 
 
-def test_config_roundtrips():
-    for cls in (cli.ErmConfig, cli.JuntaConfig, cli.BoundsConfig, cli.SwapRiskConfig, cli.VerifyConfig):
-        cfg = cls()
-        text = cli.config_to_ini(cfg)
-        assert cli.config_from_ini(text, cls.SECTION) == cfg
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_config_roundtrips(data):
+    for cls in CONFIG_TYPES:
+        kinds = typing.get_type_hints(cls)
+        cfg = cls(**{f.name: data.draw(FIELD_VALUES[kinds[f.name]]) for f in dataclasses.fields(cls)})
+        assert cli.config_from_ini(cli.config_to_ini(cfg), cls.SECTION) == cfg
+
+
+def test_default_config_ini_text():
+    for cls in CONFIG_TYPES:
+        assert cli.config_to_ini(cls()) == DEFAULT_INIS[cls.SECTION]
+
+
+def test_config_value_syntax():
+    canonical = cli.config_from_ini("[erm]\nscheme = ERM2\nenergies = 1.0, 4.0\nsizes = 2, 3\n", "erm")
+    loose = cli.config_from_ini("[erm]\nscheme = erm2\nenergies = 1.0; 4\nsizes = 2;3\n", "erm")
+    assert loose == canonical == cli.ErmConfig(scheme=ll.Scheme.ERM2, energies=(1.0, 4.0), sizes=(2, 3))
 
 
 def test_config_rejects_unknown_keys():
@@ -106,12 +165,35 @@ def test_cmd_erm_csv_and_determinism(tmp_path):
     assert meta["command"] == "erm" and meta["version"] == ll.__version__
 
 
-def test_cmd_erm_workers_match_serial(tmp_path):
-    config = _write(tmp_path, "erm.ini", ERM_INI)
+@pytest.mark.parametrize("command,text", [("erm", ERM_INI), ("junta", JUNTA_INI)], ids=["erm", "junta"])
+def test_cmd_erm_workers_match_serial(tmp_path, command, text):
+    config = _write(tmp_path, "sweep.ini", text)
     serial, parallel = str(tmp_path / "s.csv"), str(tmp_path / "p.csv")
-    assert cli.main(["erm", "--config", config, "--out", serial, "--workers", "1"]) == 0
-    assert cli.main(["erm", "--config", config, "--out", parallel, "--workers", "2"]) == 0
+    assert cli.main([command, "--config", config, "--out", serial, "--workers", "1"]) == 0
+    assert cli.main([command, "--config", config, "--out", parallel, "--workers", "2"]) == 0
     assert open(serial, "rb").read() == open(parallel, "rb").read()
+
+
+def test_pool_is_capped_at_the_point_count(monkeypatch):
+    pool_sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            pool_sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    rows = cli._map_points(lambda config, point: (config, point), "cfg", [1, 2], workers=64)
+    assert rows == [("cfg", 1), ("cfg", 2)]
+    assert pool_sizes == [2]
 
 
 def test_cmd_erm_json_format(tmp_path):
@@ -199,8 +281,14 @@ def test_cmd_verify_pass_and_negative_control(tmp_path, capsys):
 
 
 def test_config_error_exit_code(tmp_path):
-    bad = _write(tmp_path, "bad.ini", "[erm]\nbogus = 1\n")
-    assert cli.main(["erm", "--config", bad, "--out", "-"]) == cli.EXIT_CONFIG
+    for command, text in (
+        ("erm", "[erm]\nbogus = 1\n"),
+        ("erm", "[erm]\nscheme = ERM3\n"),
+        ("erm", "[erm]\nmodes = four\n"),
+        ("junta", "[junta]\nmodes = 4\njunta_size = 5\nseed_count = 1\n"),
+    ):
+        bad = _write(tmp_path, "bad.ini", text)
+        assert cli.main([command, "--config", bad, "--out", "-"]) == cli.EXIT_CONFIG
 
 
 def test_io_error_exit_code(tmp_path):
@@ -222,6 +310,8 @@ def test_env_var_worker_default(tmp_path, monkeypatch):
     monkeypatch.delenv(cli.ENV_WORKERS)
     assert cli.main(["erm", "--config", config, "--out", baseline]) == 0
     assert open(out, "rb").read() == open(baseline, "rb").read()
+    monkeypatch.setenv(cli.ENV_WORKERS, "abc")
+    assert cli.main(["erm", "--config", config, "--out", out]) == cli.EXIT_CONFIG
 
 
 def test_verify_default_scale_runtime():

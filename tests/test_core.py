@@ -20,15 +20,6 @@ def test_symplectic_form_invariants():
         assert np.array_equal(omega @ omega, -np.eye(2 * m))
 
 
-def test_conventions_energy():
-    conv = ll.Conventions(3)
-    assert conv.omega.shape == (6, 6)
-    x = np.array([1.0, 0, 0, 1.0, 0, 0])
-    assert conv.energy(x) == 1.0
-    with pytest.raises(InvalidParameter):
-        ll.Conventions(0)
-
-
 def test_realify_identity():
     out = ll.realify(np.eye(3, dtype=complex))
     assert np.array_equal(out.entries, np.eye(6))
@@ -199,6 +190,12 @@ def test_serialization_roundtrips(modes, seed):
     assert np.array_equal(ll.SymplecticOrthogonal.from_json(o.to_json()).entries, o.entries)
     g = ll.complexify(o)
     assert np.array_equal(ll.ComplexTransfer.from_json(g.to_json()).entries, g.entries)
+
+
+def test_random_junta_rejects_size_outside_mode_count():
+    for size in (0, 5):
+        with pytest.raises(InvalidParameter):
+            ll.random_junta(4, size, seed=0)
 
 
 def test_junta_spec_json_roundtrip():

@@ -120,6 +120,22 @@ def test_learn_junta_validation():
         StagePolicy(termination_threshold=0.0)
 
 
+def test_unseeded_search_leaves_the_optimizer_unseeded(monkeypatch):
+    seeds, fit = [], junta_module.minimize
+
+    def recording(training, target, cfg, modes=None):
+        seeds.append(cfg.seed)
+        return fit(training, target, cfg, modes=modes)
+
+    monkeypatch.setattr(junta_module, "minimize", recording)
+    target = ll.SymplecticOrthogonal(np.eye(6))
+    learn_junta(target, StagePolicy(optim=FAST_OPTIM), seed=None)
+    assert seeds and all(seed is None for seed in seeds)
+    seeds.clear()
+    learn_junta(target, StagePolicy(optim=FAST_OPTIM), seed=7)
+    assert seeds == [(7, 2, index) for index in range(3)]
+
+
 def test_report_json_roundtrip_fields():
     _, target = ll.random_junta(4, 2, seed=31, junta_modes=(2, 3))
     report = learn_junta(target, StagePolicy(energy_scale=2.0, optim=FAST_OPTIM), seed=32)
