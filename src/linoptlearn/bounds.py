@@ -21,7 +21,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .core import (
+    _child_seed,
     _matrix,
+    _overlap_exponent,
     _realify_raw,
     complexify,
     random_linear_optical,
@@ -211,7 +213,7 @@ def lipschitz_check(
                 violations += 1
 
     def full_gap(scheme, eps):
-        mc_seed = (0 if seed is None else seed, 1)
+        mc_seed = _child_seed(0 if seed is None else seed, 1)
         values = [
             _full_risk(scheme, o_w, hyp, modes, size, energy, mc_samples, mc_seed)
             for hyp in (o_w, o_v)
@@ -307,7 +309,7 @@ def generalization_experiment(
         failures = 0
         violations = 0
         for index in range(sets_per_size):
-            run_seed = (0 if seed is None else seed, size, index)
+            run_seed = _child_seed(0 if seed is None else seed, size, index)
             target = random_linear_optical(modes, substream(run_seed, 0))
             training = sample_training_set(scheme, modes, size, energy, seed=substream(run_seed, 1))
             replica_gaps = []
@@ -361,32 +363,18 @@ def sphere_gradient_bound_check(
     where the parent parameterization (ERM2) must stay below ``4 sqrt(2E) / T``
     and the per-state product parameterization (ERM1) below ``4 sqrt(2E)``.
     """
-    o_u = np.asarray(_matrix(target), dtype=float)
-    o_v = np.asarray(_matrix(hypothesis), dtype=float)
-    delta = o_u - o_v
-    ell = delta.T @ delta
+    delta = np.asarray(_matrix(target), dtype=float) - np.asarray(_matrix(hypothesis), dtype=float)
+    radius = math.sqrt(2.0 * energy)
     rng = substream(seed, 0)
-
-    parent = sample_sphere(2 * modes * size, math.sqrt(2.0 * energy), samples, rng)
-    blocks = parent.reshape(samples, size, 2 * modes)
-    y = np.einsum("tsj,ij->tsi", blocks, ell)
-    d = np.einsum("tsj,ij->tsi", blocks, delta)
-    w = np.exp(-0.5 * np.einsum("tsi,tsi->ts", d, d))
-    grad_parent = (w[:, :, None] * y) / size
-    max_parent = float(np.sqrt(np.sum(grad_parent**2, axis=(1, 2))).max())
-
-    states = sample_sphere(2 * modes, math.sqrt(2.0 * energy), samples * size, rng).reshape(
-        samples, size, 2 * modes
-    )
-    y1 = np.einsum("tsj,ij->tsi", states, ell)
-    d1 = np.einsum("tsj,ij->tsi", states, delta)
-    w1 = np.exp(-0.5 * np.einsum("tsi,tsi->ts", d1, d1))
-    grad_product = (w1[:, :, None] * y1) / size
-    max_product = float(np.sqrt(np.sum(grad_product**2, axis=(1, 2))).max())
-
-    budget_parent = 4.0 * math.sqrt(2.0 * energy) / size
-    budget_product = 4.0 * math.sqrt(2.0 * energy)
-    return max_parent, budget_parent, max_product, budget_product
+    parent = sample_sphere(2 * modes * size, radius, samples, rng)
+    product = sample_sphere(2 * modes, radius, samples * size, rng)
+    maxima = []
+    for points in (parent, product):
+        blocks = points.reshape(samples, size, 2 * modes)
+        d, q = _overlap_exponent(blocks, delta)
+        grad = np.exp(-0.5 * q)[:, :, None] * (d @ delta) / size  # w L x per state
+        maxima.append(float(np.sqrt(np.sum(grad**2, axis=(1, 2))).max()))
+    return maxima[0], 4.0 * radius / size, maxima[1], 4.0 * radius
 
 
 def concentration_tail_report(
@@ -398,18 +386,15 @@ def concentration_tail_report(
     ``2 exp(-C1 (D+1) eta^2 / kappa^2)``, ``D + 1 = 2MT`` and the loose
     Lipschitz constant ``kappa = R ||L||``.
     """
-    o_u = np.asarray(_matrix(target), dtype=float)
-    o_v = np.asarray(_matrix(hypothesis), dtype=float)
-    delta = o_u - o_v
+    delta = np.asarray(_matrix(target), dtype=float) - np.asarray(_matrix(hypothesis), dtype=float)
     ell = delta.T @ delta
     radius = math.sqrt(2.0 * energy)
     kappa = radius * float(np.linalg.norm(ell, 2))
     dim = 2 * modes * size
     rng = substream(seed, 0)
     parent = sample_sphere(dim, radius, samples, rng)
-    block = parent[:, : 2 * modes]
-    y = block @ delta.T
-    values = np.exp(-0.5 * np.einsum("ti,ti->t", y, y))
+    _, q = _overlap_exponent(parent[:, : 2 * modes], delta)
+    values = np.exp(-0.5 * q)
     mean = values.mean()
     rows = []
     for eta in etas:

@@ -13,10 +13,13 @@ default, so a missing file or section just runs the stock experiment.  Each
 key is parsed by the type of its config field: list values are separated by
 ``,`` or ``;``, an empty ``junta_modes`` draws a random junta for each seed,
 and ``scheme`` is case-insensitive.  An unknown key or a value that does not
-parse exits with status 2.  Output rows are produced in sorted sweep order,
-making repeated runs byte-identical for identical configs.  ``--workers`` (or
-LINOPTLEARN_WORKERS) parallelizes sweep points without changing the output;
-the pool never exceeds the number of sweep points.
+parse exits with status 2.  A fit that fails inside one sweep point (every
+restart singular, or no junta stage reaching the threshold) becomes a row
+with ``converged = false`` or a failure ``status``; the sweep goes on.
+Output rows are produced in sorted sweep order, making repeated runs
+byte-identical for identical configs.  ``--workers`` (or LINOPTLEARN_WORKERS)
+parallelizes sweep points without changing the output; the pool never
+exceeds the number of sweep points.
 """
 
 from __future__ import annotations
@@ -58,7 +61,7 @@ from .core import (
     random_linear_optical,
     substream,
 )
-from .errors import InvalidParameter, LinoptError, StageLimitReached
+from .errors import InvalidParameter, LinoptError, SingularMatrix, StageLimitReached
 from .fock import fock_space, oracle_fidelity
 from .junta import StagePolicy, learn_junta
 from .optimize import OptimConfig, minimize
@@ -254,19 +257,20 @@ def _erm_point(config: ErmConfig, point):
         max_iters=config.max_iters,
         seed=(base_seed, seed, 2, e_index, t_index),
     )
-    result = minimize(training, target, cfg)
+    row = {"scheme": config.scheme.value, "M": config.modes, "E": energy, "T": size, "seed": seed}
+    try:
+        result = minimize(training, target, cfg)
+    except SingularMatrix:  # a failed fit is a row of the sweep, not a config error
+        row.update(converged=False, risk_final=math.nan, frobenius_dist_sq=math.nan, unitarity_residual=math.nan)
+        return row
     o_w = _realify_raw(result.transfer.entries)
-    return {
-        "scheme": config.scheme.value,
-        "M": config.modes,
-        "E": energy,
-        "T": size,
-        "seed": seed,
-        "converged": result.converged,
-        "risk_final": result.risk_final,
-        "frobenius_dist_sq": frobenius_distance_squared(target.entries, o_w),
-        "unitarity_residual": result.unitarity_residual,
-    }
+    row.update(
+        converged=result.converged,
+        risk_final=result.risk_final,
+        frobenius_dist_sq=frobenius_distance_squared(target.entries, o_w),
+        unitarity_residual=result.unitarity_residual,
+    )
+    return row
 
 
 def _map_points(worker, config, points, workers: int):
@@ -335,9 +339,9 @@ def _junta_point(config: JuntaConfig, seed: int):
     }
     try:
         report = learn_junta(target, policy, seed=(config.base_seed, seed, 1))
-    except StageLimitReached:
+    except (StageLimitReached, SingularMatrix) as exc:
         row.update(
-            status="stage_limit",
+            status="stage_limit" if isinstance(exc, StageLimitReached) else "singular_matrix",
             terminated_stage=0,
             stages="",
             log10_minima="",

@@ -54,8 +54,23 @@ def substream(seed, *key: int) -> np.random.Generator:
         return seed.spawn(1)[0]
     if seed is None:
         return np.random.default_rng()
-    base = list(seed) if isinstance(seed, (tuple, list)) else [int(seed)]
-    return np.random.default_rng(base + [int(k) for k in key])
+    return np.random.default_rng(list(_child_seed(seed, *key)))
+
+
+def _child_seed(seed, *key: int):
+    """``seed`` extended by an integer key path, as a seed rather than a generator.
+
+    For an int or tuple seed ``substream(_child_seed(seed, *a), *b)`` is
+    ``substream(seed, *a, *b)``.  A ``Generator`` is first replaced by entropy
+    drawn from a ``substream`` child, so the result is a plain tuple that can
+    be handed on and replayed.  ``None`` stays ``None``.
+    """
+    if seed is None:
+        return None
+    if isinstance(seed, np.random.Generator):
+        seed = tuple(substream(seed).integers(2**32, size=4).tolist())
+    base = tuple(seed) if isinstance(seed, (tuple, list)) else (int(seed),)
+    return (*base, *(int(k) for k in key))
 
 
 def symplectic_form(mode_count: int) -> np.ndarray:
@@ -167,9 +182,7 @@ class ComplexTransfer:
         return self.entries
 
     def unitarity_residual(self) -> float:
-        g = self.entries
-        h = g.conj().T @ g - np.eye(g.shape[0])
-        return float(np.sum(np.abs(h) ** 2))
+        return _unitarity_defect(self.entries)[1]
 
     def is_unitary(self, tol: float = UNITARITY_TOL) -> bool:
         return self.unitarity_residual() <= tol
@@ -252,6 +265,12 @@ class JuntaSpec:
         return cls(int(data["M"]), tuple(data["J"]), SymplecticOrthogonal.from_json(data["inner"]))
 
 
+def _unitarity_defect(g: np.ndarray):
+    """``(H, ||H||_F^2)`` with ``H = G^dag G - I``: the unitarity residual and its matrix."""
+    h = g.conj().T @ g - np.eye(g.shape[0])
+    return h, float(np.sum(np.abs(h) ** 2))
+
+
 def _realify_raw(g: np.ndarray) -> np.ndarray:
     """Block matrix [[Re G, Im G], [-Im G, Re G]] without any unitarity check."""
     re, im = g.real, g.imag
@@ -267,7 +286,7 @@ def realify(transfer, *, unitarity_tol: float = UNITARITY_TOL) -> SymplecticOrth
     g = np.asarray(_matrix(transfer), dtype=complex)
     if g.ndim != 2 or g.shape[0] != g.shape[1]:
         raise DimensionMismatch(f"expected a square matrix, got shape {g.shape}")
-    residual_sq = float(np.sum(np.abs(g.conj().T @ g - np.eye(g.shape[0])) ** 2))
+    _, residual_sq = _unitarity_defect(g)
     if residual_sq > unitarity_tol:
         raise NonUnitaryInput(
             f"squared unitarity residual {residual_sq:.3e} exceeds {unitarity_tol:.1e}"
@@ -352,6 +371,17 @@ def embed_junta(spec: JuntaSpec) -> SymplecticOrthogonal:
     return SymplecticOrthogonal(full)
 
 
+def _overlap_exponent(x: np.ndarray, delta: np.ndarray):
+    """``(y, q)`` with rows ``y = delta x`` and ``q = |y|^2`` over the last axis.
+
+    ``x`` stacks mean vectors along its last axis and ``delta = O_U - O_V``.
+    The two output coherent states then overlap as ``exp(-q / 2)``; every
+    risk in the library is built on this one exponent.
+    """
+    y = x @ delta.T
+    return y, np.einsum("...i,...i->...", y, y)
+
+
 def fidelity(x, target, hypothesis) -> float:
     """Overlap ``|<x| U^dag V |x>|^2`` of the two transformed coherent states.
 
@@ -366,8 +396,8 @@ def fidelity(x, target, hypothesis) -> float:
         raise DimensionMismatch(
             f"incompatible shapes: x {xv.shape}, target {o_u.shape}, hypothesis {o_v.shape}"
         )
-    d = (o_u - o_v) @ xv
-    return float(np.exp(-0.5 * float(d @ d)))
+    _, q = _overlap_exponent(xv, o_u - o_v)
+    return float(np.exp(-0.5 * q))
 
 
 def frobenius_distance_squared(a, b) -> float:

@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import ComplexTransfer, _matrix, as_rng, substream
+from .core import ComplexTransfer, _child_seed, _matrix, _overlap_exponent, as_rng, substream
 from .errors import (
     BudgetExceeded,
     DegenerateProbe,
@@ -30,7 +30,7 @@ from .errors import (
 )
 from .optimize import OptimConfig, minimize
 from .risk import _embed_complex, _risk_core, swap_test_fidelity_estimate
-from .training import Scheme, sample_training_set
+from .training import Scheme, sample_sphere, sample_training_set
 
 _DEFAULT_STAGE_OPTIM = OptimConfig(
     max_iters=1500,
@@ -130,13 +130,8 @@ def _compose_selected(selected_results, junta: tuple, mode_count: int) -> np.nda
 def _composite_risk(training, target, g_block: np.ndarray, junta: tuple) -> float:
     o_u = np.asarray(_matrix(target), dtype=float)
     g_full = _embed_complex(g_block, junta, o_u.shape[0] // 2)
-    terms, _, _, _ = _risk_core(training.states, o_u, g_full)
+    terms, _, _ = _risk_core(training.states, o_u, g_full)
     return float(terms.mean())
-
-
-def _fit_seed(seed, *key: int):
-    """Optimizer seed of one fit; ``None`` keeps the whole search on fresh entropy."""
-    return None if seed is None else (seed, *key)
 
 
 def learn_junta(target, policy: StagePolicy | None = None, seed: int | None = None) -> JuntaReport:
@@ -184,7 +179,7 @@ def learn_junta(target, policy: StagePolicy | None = None, seed: int | None = No
         )
         results = []
         for index, cand in enumerate(candidates):
-            cfg = replace(policy.optim, seed=_fit_seed(seed, stage, index))
+            cfg = replace(policy.optim, seed=_child_seed(seed, stage, index))
             results.append((cand, minimize(training, target, cfg, modes=cand)))
         energy_spent += stage_cost
         minimum = min(res.risk_final for _, res in results)
@@ -239,7 +234,7 @@ def learn_junta(target, policy: StagePolicy | None = None, seed: int | None = No
                 refit_energy,
                 seed=substream(seed, mode_count + 1),
             )
-            cfg = replace(policy.optim, seed=_fit_seed(seed, mode_count + 1, 0))
+            cfg = replace(policy.optim, seed=_child_seed(seed, mode_count + 1, 0))
             refit = minimize(refit_training, target, cfg, modes=junta_modes)
             block, final_risk = refit.transfer.entries, refit.risk_final
         if final_risk < policy.termination_threshold:
@@ -289,8 +284,7 @@ def identify_junta(target, energy: float, shots: int, seed=None) -> tuple:
 
     radius = np.sqrt(2.0 * energy)
     for _ in range(100):
-        g = rng.standard_normal((2, 2 * mode_count))
-        probes = g / np.linalg.norm(g, axis=1, keepdims=True) * radius
+        probes = sample_sphere(2 * mode_count, radius, 2, rng)
         bx, by = mode_blocks(probes[0]), mode_blocks(probes[1])
         cross = np.abs(bx[:, 0] * by[:, 1] - bx[:, 1] * by[:, 0])
         scale = np.linalg.norm(bx, axis=1) * np.linalg.norm(by, axis=1)
@@ -300,16 +294,10 @@ def identify_junta(target, energy: float, shots: int, seed=None) -> tuple:
         raise DegenerateProbe("could not draw probes with non-parallel mode components")
 
     threshold = 1.0 - 3.0 / np.sqrt(shots)
+    delta = o_u - np.eye(2 * mode_count)  # output minus input
     passive = []
     for j in range(mode_count):
-        ok = True
-        for probe in probes:
-            out = mode_blocks(o_u @ probe)[j]
-            ref = mode_blocks(probe)[j]
-            estimate = swap_test_fidelity_estimate(out, ref, shots, rng)
-            if estimate <= threshold:
-                ok = False
-                break
-        if ok:
+        _, q = _overlap_exponent(probes, delta[[j, mode_count + j]])  # mode j's block only
+        if all(swap_test_fidelity_estimate(q_probe, shots, rng) > threshold for q_probe in q):
             passive.append(j + 1)
     return tuple(j for j in range(1, mode_count + 1) if j not in passive)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.optimize
 
-from .core import ComplexTransfer, _matrix, haar_unitary, substream
+from .core import ComplexTransfer, _matrix, _unitarity_defect, haar_unitary, substream
 from .errors import DimensionMismatch, InvalidParameter, SingularMatrix
 from .risk import _embed_complex, _risk_core
 from .training import TrainingSet
@@ -148,13 +148,12 @@ class _Problem:
     def value_and_grad(self, theta: np.ndarray):
         k = self.k
         g = _theta_to_matrix(theta, k)
-        terms, _, d_re, d_im = _risk_core(self.x, self.o_u, self.embed(g))
+        terms, d_re, d_im = _risk_core(self.x, self.o_u, self.embed(g))
         risk = float(terms.mean())
         if self.modes is not None:
             d_re = d_re[np.ix_(self._idx, self._idx)]
             d_im = d_im[np.ix_(self._idx, self._idx)]
-        h = g.conj().T @ g - np.eye(k)
-        residual = float(np.sum(np.abs(h) ** 2))
+        h, residual = _unitarity_defect(g)
         w = g @ h
         grad = np.concatenate(
             [
@@ -169,15 +168,14 @@ class _Problem:
         return f, grad
 
     def risk_value(self, g: np.ndarray) -> float:
-        terms, _, _, _ = _risk_core(self.x, self.o_u, self.embed(g))
+        terms, _, _ = _risk_core(self.x, self.o_u, self.embed(g))
         return float(terms.mean())
 
 
 def _snapshot(problem: _Problem, theta: np.ndarray):
     """Score an iterate: raw residual plus risk of its polar projection."""
     g = _theta_to_matrix(theta, problem.k)
-    h = g.conj().T @ g - np.eye(problem.k)
-    residual = float(np.sum(np.abs(h) ** 2))
+    _, residual = _unitarity_defect(g)
     try:
         projected = polar_project(g).entries
     except SingularMatrix:

@@ -1,10 +1,11 @@
 """Risk functionals for learning a linear optical circuit from coherent states.
 
 For pure coherent states the squared trace distance between target and
-hypothesis outputs reduces to ``1 - exp(-x^T L x / 2)`` per training state,
-with ``L = (O_U - O_V)^T (O_U - O_V)``.  The empirical risk is the mean of
-these terms; the full risks average the same integrand over the uniform
-measure on the relevant sphere (the single-state sphere for ERM1/ERM1P, the
+hypothesis outputs reduces to ``1 - exp(-q / 2)`` per training state, with
+``q = |(O_U - O_V) x|^2`` from ``core._overlap_exponent``, the one place that
+exponent is formed.  The empirical risk is the mean of these terms; the full
+risks average the same integrand over the uniform measure on the scheme's
+sphere (``training._sphere``: the single-state sphere for ERM1/ERM1P, the
 parent sphere for ERM2).
 
 The hypothesis matrix need not be unitary: penalty-method optimization
@@ -23,9 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ComplexTransfer, _matrix, _realify_raw, as_rng, substream
+from .core import ComplexTransfer, _matrix, _overlap_exponent, _realify_raw, as_rng, substream
 from .errors import ConvergenceWarning, DimensionMismatch, InvalidParameter, NonUnitaryInput
-from .training import Scheme, TrainingSet
+from .training import Scheme, TrainingSet, _sphere
 
 SHELL_STOP = 1e-12
 """Shell magnitude below which the sphere-moment series is truncated."""
@@ -41,8 +42,6 @@ class RiskReport:
     value: float
     per_term: np.ndarray
     scheme: Scheme | None = None
-    gradient: np.ndarray | None = None
-    stderr: float | None = None
     shots: int | None = None
 
     def __post_init__(self):
@@ -51,8 +50,6 @@ class RiskReport:
 
     def to_json(self) -> dict:
         data = {"value": self.value, "per_term": self.per_term.tolist()}
-        if self.stderr is not None:
-            data["stderr"] = self.stderr
         if self.shots is not None:
             data["shots"] = self.shots
         return data
@@ -80,13 +77,20 @@ class ShotModel:
             raise InvalidParameter("shots must be >= 1")
 
 
-def _check_states(training: TrainingSet, o_u: np.ndarray) -> np.ndarray:
+def _risk_inputs(training: TrainingSet, target, transfer):
+    """``(x, O_U, G)`` of a risk evaluation, with their shapes checked."""
     x = training.states
+    o_u = np.asarray(_matrix(target), dtype=float)
+    g = np.asarray(_matrix(transfer), dtype=complex)
     if o_u.shape != (x.shape[1], x.shape[1]):
         raise DimensionMismatch(
             f"target shape {o_u.shape} does not match {x.shape[1]}-dimensional states"
         )
-    return x
+    if g.ndim != 2 or g.shape[0] != g.shape[1]:
+        raise DimensionMismatch(f"expected a square transfer matrix, got {g.shape}")
+    if 2 * g.shape[0] != o_u.shape[0]:
+        raise DimensionMismatch("transfer and target mode counts differ")
+    return x, o_u, g
 
 
 def _embed_complex(g: np.ndarray, modes, mode_count: int) -> np.ndarray:
@@ -98,15 +102,13 @@ def _embed_complex(g: np.ndarray, modes, mode_count: int) -> np.ndarray:
 
 
 def _risk_core(x: np.ndarray, o_u: np.ndarray, g_full: np.ndarray):
-    """Terms, per-term weights and block gradients of the empirical risk.
+    """Terms and block gradients of the empirical risk.
 
-    Returns ``(terms, w, d_re, d_im)`` where ``w = exp(-q/2)`` per state and
-    ``d_re``/``d_im`` are the derivative matrices of the mean risk with
-    respect to the real and imaginary parts of the full transfer matrix.
+    Returns ``(terms, d_re, d_im)`` where ``d_re``/``d_im`` are the derivative
+    matrices of the mean risk with respect to the real and imaginary parts of
+    the full transfer matrix.
     """
-    o_v = _realify_raw(g_full)
-    y = x @ (o_u - o_v).T
-    q = np.einsum("ti,ti->t", y, y)
+    y, q = _overlap_exponent(x, o_u - _realify_raw(g_full))
     w = np.exp(-0.5 * q)
     terms = 1.0 - w
     m = g_full.shape[0]
@@ -115,47 +117,35 @@ def _risk_core(x: np.ndarray, o_u: np.ndarray, g_full: np.ndarray):
     wy_p = (w[:, None] * y[:, m:]).T
     d_re = -(wy_q @ x[:, :m] + wy_p @ x[:, m:]) / t
     d_im = -(wy_q @ x[:, m:] - wy_p @ x[:, :m]) / t
-    return terms, w, d_re, d_im
+    return terms, d_re, d_im
 
 
-def _transfer_matrix(transfer) -> np.ndarray:
-    g = np.asarray(_matrix(transfer), dtype=complex)
-    if g.ndim != 2 or g.shape[0] != g.shape[1]:
-        raise DimensionMismatch(f"expected a square transfer matrix, got {g.shape}")
-    return g
-
-
-def empirical_risk(training: TrainingSet, target, transfer, *, gradient: bool = False) -> RiskReport:
+def empirical_risk(training: TrainingSet, target, transfer) -> RiskReport:
     """Mean squared trace-distance risk of ``transfer`` against ``target``.
 
     ``transfer`` may be any complex square matrix; unitarity is the
-    optimizer's concern.  With ``gradient=True`` the report carries the
-    2M^2-vector of derivatives with respect to (Re G, Im G), each block
-    flattened row-major.
+    optimizer's concern.
     """
-    o_u = np.asarray(_matrix(target), dtype=float)
-    x = _check_states(training, o_u)
-    g = _transfer_matrix(transfer)
-    if 2 * g.shape[0] != o_u.shape[0]:
-        raise DimensionMismatch("transfer and target mode counts differ")
-    terms, _, d_re, d_im = _risk_core(x, o_u, g)
-    grad = np.concatenate([d_re.ravel(), d_im.ravel()]) if gradient else None
-    return RiskReport(
-        value=float(terms.mean()),
-        per_term=terms,
-        scheme=training.scheme,
-        gradient=grad,
-    )
+    terms, _, _ = _risk_core(*_risk_inputs(training, target, transfer))
+    return RiskReport(value=float(terms.mean()), per_term=terms, scheme=training.scheme)
 
 
 def empirical_risk_gradient(training: TrainingSet, target, transfer) -> np.ndarray:
-    """Analytic gradient of the empirical risk in the real parametrization."""
-    report = empirical_risk(training, target, transfer, gradient=True)
-    return report.gradient
+    """Analytic gradient of the empirical risk in the real parametrization.
+
+    The 2M^2-vector of derivatives with respect to (Re G, Im G), each block
+    flattened row-major.
+    """
+    _, d_re, d_im = _risk_core(*_risk_inputs(training, target, transfer))
+    return np.concatenate([d_re.ravel(), d_im.ravel()])
 
 
 def _scheme_sampling(scheme: Scheme, modes: int, count: int, energy: float):
-    """Sphere dimension and radius of the Monte-Carlo sampling space."""
+    """Sphere dimension and radius of the Monte-Carlo sampling space.
+
+    Kept apart from ``training._sphere`` on purpose: as the oracle's own copy
+    of the geometry, it lets the series-vs-MC tests check that geometry too.
+    """
     if scheme == Scheme.ERM1:
         return 2 * modes, math.sqrt(2.0 * energy)
     if scheme == Scheme.ERM1P:
@@ -203,9 +193,8 @@ def full_risk_mc(
             g *= radius / np.linalg.norm(g, axis=1, keepdims=True)
         else:
             g[:] = 0.0
-        block = g[:, : 2 * modes]
-        y = block @ delta.T
-        vals = 1.0 - np.exp(-0.5 * np.einsum("ti,ti->t", y, y))
+        _, q = _overlap_exponent(g[:, : 2 * modes], delta)
+        vals = 1.0 - np.exp(-0.5 * q)
         total += float(vals.sum())
         total_sq += float((vals * vals).sum())
         done += n
@@ -236,17 +225,19 @@ def series_full_risk(
 ) -> SeriesResult:
     """Full risk of any training scheme from the sphere-moment series.
 
-    Writing ``kappa_j`` for the singular values of ``O_U - O_V`` and ``c_s``
-    for the degree-s coefficient of ``prod_j (1 + kappa_j^2 t / 2)^(-1/2)``,
-    the ERM1 full risk (energy E per state, the sphere of radius sqrt(2E) in
-    R^(2M)) is one minus
+    Writing ``kappa_j`` for the singular values of ``O_U - O_V``, ``c_s``
+    for the degree-s coefficient of ``prod_j (1 + kappa_j^2 t / 2)^(-1/2)``
+    and ``(D, R^2)`` for the dimension and squared radius of the scheme's
+    sphere (``training._sphere``), the full risk is one minus
 
-        sum_s (2E)^s Gamma(M) / Gamma(M + s) * c_s.
+        sum_s R^(2s) Gamma(D/2) / Gamma(D/2 + s) * c_s.
 
-    ``ERM1P`` is the same series at energy ``E / count``.  For ``ERM2`` the
-    first block of a uniform point on the parent sphere in R^(2MT),
-    ``T = count``, is ``sqrt(2E B) u`` with ``B ~ Beta(M, M(T-1))``; since
-    ``E[B^s] = (M)_s / (MT)_s`` the factor becomes ``Gamma(MT) / Gamma(MT + s)``.
+    For ERM1 (D = 2M, R^2 = 2E) this is the sphere-moment series of one
+    state; ERM1P is the same series at ``R^2 = 2E / count``.  For ERM2
+    (D = 2MT, ``T = count``) the first block of a uniform point on the parent
+    sphere is ``sqrt(2E B) u`` with ``B ~ Beta(M, M(T-1))``; since
+    ``E[B^s] = (M)_s / (MT)_s`` the ERM1 factor ``Gamma(M) / Gamma(M + s)``
+    becomes ``Gamma(MT) / Gamma(MT + s)``.
 
     Shells are accumulated until their magnitude drops below 1e-12 or
     ``order`` is reached.  ``error_estimate`` is the magnitude of the last
@@ -269,9 +260,7 @@ def series_full_risk(
     m = o_u.shape[0] // 2
     if modes is not None and modes != m:
         raise DimensionMismatch(f"matrices act on {m} modes, not {modes}")
-    if scheme == Scheme.ERM1P:
-        energy = energy / count
-    dim = m * count if scheme == Scheme.ERM2 else m  # Gamma(dim) / Gamma(dim + s)
+    dim, radius_sq = _sphere(scheme, m, count, energy)
     kappa = np.sort(np.linalg.svd(o_u - o_v, compute_uv=False))[::-1]
     coeffs = np.zeros(order + 1)
     coeffs[0] = 1.0
@@ -280,7 +269,7 @@ def series_full_risk(
             continue
         coeffs = np.convolve(coeffs, _factor_coeffs(0.5 * k * k, order))[: order + 1]
     total = 0.0
-    factor = 1.0  # (2E)^s Gamma(dim) / Gamma(dim + s)
+    factor = 1.0  # R^(2s) Gamma(D/2) / Gamma(D/2 + s)
     last = prev = math.inf
     largest = 0.0
     used = 0
@@ -292,7 +281,7 @@ def series_full_risk(
         largest = max(largest, last)
         if s >= 1 and max(last, prev) < SHELL_STOP:
             break
-        factor *= 2.0 * energy / (dim + s)
+        factor *= radius_sq / (dim // 2 + s)
     if not math.isfinite(total):
         warnings.warn(
             "sphere-moment series overflowed; result is unusable at this energy",
@@ -314,41 +303,31 @@ def series_full_risk(
     return SeriesResult(value, used, kappa, error)
 
 
-def swap_test_fidelity_estimate(u: np.ndarray, v: np.ndarray, shots: int, rng) -> float:
-    """Finite-shot overlap estimate for coherent states with means ``u`` and ``v``.
+def swap_test_fidelity_estimate(q, shots: int, rng):
+    """Finite-shot overlap estimate for coherent states with overlap exponent ``q``.
 
-    Interfering the two states on balanced beamsplitters leaves the difference
-    modes in a coherent state of total mean photon number ``||u - v||^2 / 4``,
-    so a shot sees all-vacuum there with probability ``sqrt(F)``.  The
-    estimator squares the observed vacuum fraction.
+    For means ``u`` and ``v``, ``q = ||u - v||^2``.  Interfering the two
+    states on balanced beamsplitters leaves the difference modes in a coherent
+    state of total mean photon number ``q / 4``, so a shot sees all-vacuum
+    there with probability ``sqrt(F)``.  The estimator squares the observed
+    vacuum fraction; ``q`` may be an array of exponents.
     """
-    d = np.asarray(u, dtype=float) - np.asarray(v, dtype=float)
-    p = math.exp(-0.25 * float(d @ d))
-    return (rng.binomial(shots, p) / shots) ** 2
+    return (rng.binomial(shots, np.exp(-0.25 * q)) / shots) ** 2
 
 
 def swap_test_risk(training: TrainingSet, target, transfer, model: ShotModel) -> RiskReport:
     """Shot-noise estimate of the empirical risk via interference and counting.
 
     Per training state the target and hypothesis outputs are interfered on M
-    balanced beamsplitters; the total count on the difference modes is Poisson
-    with mean ``||a - b||^2 / 4`` and a shot records all-vacuum with
-    probability ``sqrt(F)``.  As ``shots -> infinity`` the report converges to
-    the closed-form empirical risk.
+    balanced beamsplitters (``swap_test_fidelity_estimate``).  As
+    ``shots -> infinity`` the report converges to the closed-form empirical
+    risk.
     """
-    o_u = np.asarray(_matrix(target), dtype=float)
-    x = _check_states(training, o_u)
-    g = _transfer_matrix(transfer)
-    wrapped = transfer if isinstance(transfer, ComplexTransfer) else ComplexTransfer(g)
-    if not wrapped.is_unitary():
+    x, o_u, g = _risk_inputs(training, target, transfer)
+    if not ComplexTransfer(g).is_unitary():
         raise NonUnitaryInput("swap-test risk requires a unitary transfer matrix")
-    o_v = _realify_raw(g)
-    d = x @ (o_u - o_v).T
-    mu = 0.25 * np.einsum("ti,ti->t", d, d)
-    p = np.exp(-mu)
-    rng = as_rng(model.seed)
-    fhat = (rng.binomial(model.shots, p) / model.shots) ** 2
-    terms = 1.0 - fhat
+    _, q = _overlap_exponent(x, o_u - _realify_raw(g))
+    terms = 1.0 - swap_test_fidelity_estimate(q, model.shots, as_rng(model.seed))
     return RiskReport(
         value=float(terms.mean()),
         per_term=terms,

@@ -10,8 +10,10 @@ Three allocation schemes for a total energy budget ``E``:
   radius sqrt(2E) in R^(2MT) and partitioned into T contiguous blocks of
   length 2M; the set as a whole carries energy E exactly.
 
-Sphere uniformity comes from normalizing standard Gaussian vectors, which is
-exact in every dimension.
+``_sphere`` is the one definition of these spheres: sampling, the norm check
+of a ``TrainingSet`` and the full-risk series all read it.  Sphere uniformity
+comes from normalizing standard Gaussian vectors, which is exact in every
+dimension.
 """
 
 from __future__ import annotations
@@ -43,6 +45,20 @@ class Scheme(enum.Enum):
             raise InvalidParameter(f"unknown scheme {value!r}") from None
 
 
+def _sphere(scheme: Scheme, modes: int, count: int, energy: float) -> tuple[int, float]:
+    """Dimension and squared radius of the sphere a scheme draws its states on.
+
+    ERM1 and ERM1P draw each of the ``count`` states on its own sphere in
+    R^(2M); ERM2 draws the whole set as one point of the parent sphere in
+    R^(2MT).
+    """
+    if scheme == Scheme.ERM2:
+        return 2 * modes * count, 2.0 * energy
+    if scheme == Scheme.ERM1P:
+        return 2 * modes, 2.0 * energy / count
+    return 2 * modes, 2.0 * energy
+
+
 def sample_sphere(dim: int, radius: float, size: int, rng=None) -> np.ndarray:
     """Uniform points on the sphere of given radius in R^dim, stacked as rows."""
     if dim < 1 or size < 0:
@@ -61,15 +77,14 @@ def sample_sphere(dim: int, radius: float, size: int, rng=None) -> np.ndarray:
 class TrainingSet:
     """T coherent-state mean vectors plus the scheme and budget that produced them.
 
-    ``states`` has shape (T, 2M); for ERM2 the parent vector is the row-major
-    concatenation of the states.
+    ``states`` has shape (T, 2M); every row (ERM1, ERM1P) or the whole set
+    (ERM2) lies on the scheme's sphere.
     """
 
     scheme: Scheme
     modes: int
     energy: float
     states: np.ndarray
-    parent: np.ndarray | None = None
     seed: int | None = None
 
     def __post_init__(self):
@@ -78,28 +93,19 @@ class TrainingSet:
             raise InvalidParameter(f"states must have shape (T, {2 * self.modes})")
         states.setflags(write=False)
         object.__setattr__(self, "states", states)
-        if self.parent is not None:
-            parent = np.array(self.parent, dtype=float)
-            if parent.size != states.size:
-                raise InvalidParameter("parent length must be 2*M*T")
-            parent.setflags(write=False)
-            object.__setattr__(self, "parent", parent)
         self._check_norms()
 
     def _check_norms(self):
-        t = self.size
-        norms_sq = np.sum(self.states**2, axis=1)
+        dim, radius_sq = _sphere(self.scheme, self.modes, self.size, self.energy)
+        norms_sq = np.sum(self.states.reshape(-1, dim) ** 2, axis=1)
         tol = 1e-9 * max(1.0, 2.0 * self.energy)
-        if self.scheme == Scheme.ERM1:
-            ok = np.all(np.abs(norms_sq - 2.0 * self.energy) <= tol)
-        elif self.scheme == Scheme.ERM1P:
-            ok = np.all(np.abs(norms_sq - 2.0 * self.energy / t) <= tol)
-        else:
-            ok = abs(float(norms_sq.sum()) - 2.0 * self.energy) <= tol
-            if self.parent is not None:
-                ok = ok and np.array_equal(self.parent.reshape(t, 2 * self.modes), self.states)
-        if not ok:
+        if not np.all(np.abs(norms_sq - radius_sq) <= tol):
             raise InvalidParameter(f"state norms violate the {self.scheme.value} constraint")
+
+    @property
+    def parent(self) -> np.ndarray | None:
+        """The ERM2 parent vector: the row-major concatenation of the states."""
+        return self.states.reshape(-1) if self.scheme == Scheme.ERM2 else None
 
     @property
     def size(self) -> int:
@@ -120,15 +126,11 @@ class TrainingSet:
 
     @classmethod
     def from_json(cls, data: dict) -> "TrainingSet":
-        scheme = Scheme.coerce(data["scheme"])
-        states = np.asarray(data["states"], dtype=float)
-        parent = states.reshape(-1) if scheme == Scheme.ERM2 else None
         return cls(
-            scheme=scheme,
+            scheme=Scheme.coerce(data["scheme"]),
             modes=int(data["M"]),
             energy=float(data["E"]),
-            states=states,
-            parent=parent,
+            states=np.asarray(data["states"], dtype=float),
             seed=data.get("seed"),
         )
 
@@ -145,22 +147,13 @@ def sample_training_set(scheme, modes: int, count: int, energy: float, seed=None
         raise InvalidParameter("modes and count must be >= 1")
     if energy < 0:
         raise InvalidParameter("energy must be nonnegative")
-    rng = as_rng(seed)
-    dim = 2 * modes
-    parent = None
-    if scheme == Scheme.ERM1:
-        states = sample_sphere(dim, math.sqrt(2.0 * energy), count, rng)
-    elif scheme == Scheme.ERM1P:
-        states = sample_sphere(dim, math.sqrt(2.0 * energy / count), count, rng)
-    else:
-        parent = sample_sphere(dim * count, math.sqrt(2.0 * energy), 1, rng)[0]
-        states = parent.reshape(count, dim)
+    dim, radius_sq = _sphere(scheme, modes, count, energy)
+    points = sample_sphere(dim, math.sqrt(radius_sq), 2 * modes * count // dim, as_rng(seed))
     return TrainingSet(
         scheme=scheme,
         modes=modes,
         energy=float(energy),
-        states=states,
-        parent=parent,
+        states=points.reshape(count, 2 * modes),
         seed=seed if isinstance(seed, int) else None,
     )
 

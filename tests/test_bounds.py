@@ -204,11 +204,29 @@ def test_experiments_use_the_series_at_moderate_energy(monkeypatch):
 def test_lipschitz_falls_back_to_mc_where_the_series_cancels(monkeypatch):
     # At E=16 the ERM1 series of this pair cancels to garbage (-5e8 before the
     # error estimate covered rounding), so the full risk must come from MC.
+    # A Generator seed once failed here: the MC seed was built as a tuple
+    # ``(generator, 1)``, which numpy cannot seed from.
     calls = _record_mc(monkeypatch)
     rng = substream(7)
     first, second = ll.random_linear_optical(2, rng), ll.random_linear_optical(2, rng)
-    report = ll.lipschitz_check(first, second, 16.0, trials=1, seed=5, mc_samples=20000)
-    fallback = [value for scheme, (value, _) in calls if scheme == Scheme.ERM1]
-    assert fallback and all(0.0 <= value <= 1.0 for value in fallback)
-    assert 0.0 <= report.full_gap_erm1 <= 1.0
-    assert report.full_gap_erm1_stderr > 0.0
+    for seed in (5, np.random.default_rng(5)):
+        calls.clear()
+        report = ll.lipschitz_check(first, second, 16.0, trials=1, seed=seed, mc_samples=20000)
+        fallback = [value for scheme, (value, _) in calls if scheme == Scheme.ERM1]
+        assert fallback and all(0.0 <= value <= 1.0 for value in fallback)
+        assert 0.0 <= report.full_gap_erm1 <= 1.0
+        assert report.full_gap_erm1_stderr > 0.0
+
+
+def test_generalization_experiment_accepts_a_generator_seed():
+    # The per-set seeds were ``(generator, size, index)`` tuples, and the
+    # first substream of one raised ``TypeError: ... has no len()``.
+    def run():
+        return ll.generalization_experiment(
+            "ERM2", 2, 1.0, (2,), 0.1, 1, seed=np.random.default_rng(0),
+            optim=OptimConfig(restarts=2, max_iters=1500, eval_stride=5),
+        )
+
+    first, second = run(), run()
+    assert first[0].failures + len(first[0].empirical_gaps) == 1
+    assert first[0].empirical_gaps == second[0].empirical_gaps

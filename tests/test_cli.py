@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 import linoptlearn as ll
 from linoptlearn import cli
 from linoptlearn.core import as_rng
+from linoptlearn.errors import InvalidParameter, SingularMatrix
 
 
 ERM_INI = """
@@ -289,6 +290,41 @@ def test_config_error_exit_code(tmp_path):
     ):
         bad = _write(tmp_path, "bad.ini", text)
         assert cli.main([command, "--config", bad, "--out", "-"]) == cli.EXIT_CONFIG
+
+
+def _raise_on_seed_one(fit, error):
+    """``fit`` with ``error`` raised for sweep seed 1; the seed tuple is ``(base, seed, ...)``."""
+
+    def flaky(*args, **kwargs):
+        seed = kwargs["seed"] if "seed" in kwargs else args[2].seed
+        if seed[1] == 1:
+            raise error("raised on purpose")
+        return fit(*args, **kwargs)
+
+    return flaky
+
+
+@pytest.mark.parametrize(
+    "command,text,fit",
+    [("erm", ERM_INI, "minimize"), ("junta", JUNTA_INI, "learn_junta")],
+    ids=["erm", "junta"],
+)
+def test_failed_fit_is_a_row_not_an_abort(tmp_path, monkeypatch, command, text, fit):
+    # A SingularMatrix inside one sweep point used to end the whole sweep as
+    # "config error" (exit 2); a real config error still does.
+    config, out = _write(tmp_path, "sweep.ini", text), str(tmp_path / "rows.csv")
+    original = getattr(cli, fit)
+    monkeypatch.setattr(cli, fit, _raise_on_seed_one(original, SingularMatrix))
+    assert cli.main([command, "--config", config, "--out", out, "--workers", "1"]) == 0
+    ok, failed = list(csv.DictReader(open(out)))
+    if command == "erm":
+        assert ok["converged"] == "true" and failed["converged"] == "false"
+        assert all(failed[key] == "nan" for key in ("risk_final", "frobenius_dist_sq", "unitarity_residual"))
+    else:
+        assert ok["status"] == "ok" and failed["status"] == "singular_matrix"
+        assert failed["final_risk"] == "nan" and failed["recovered_ok"] == "false"
+    monkeypatch.setattr(cli, fit, _raise_on_seed_one(original, InvalidParameter))
+    assert cli.main([command, "--config", config, "--out", out, "--workers", "1"]) == cli.EXIT_CONFIG
 
 
 def test_io_error_exit_code(tmp_path):

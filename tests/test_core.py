@@ -12,6 +12,8 @@ from linoptlearn.errors import (
     NonUnitaryInput,
 )
 
+SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
+
 
 def test_symplectic_form_invariants():
     for m in (1, 2, 5):
@@ -91,17 +93,18 @@ def test_haar_first_moment():
     assert abs(mean - 0.25) < 3.0 * sigma
 
 
-def test_group_closure_and_homomorphism():
-    rng = np.random.default_rng(5)
-    eye = np.eye(8)
-    omega = ll.symplectic_form(4)
-    for _ in range(20):
-        g1 = ll.haar_unitary(4, rng)
-        g2 = ll.haar_unitary(4, rng)
-        prod = ll.realify(g1) @ ll.realify(g2)
-        assert np.linalg.norm(prod.entries.T @ prod.entries - eye) < 1e-10
-        assert np.linalg.norm(prod.entries.T @ omega @ prod.entries - omega) < 1e-10
-        assert np.abs(prod.entries - ll.realify(g1 @ g2).entries).max() < 1e-12
+@settings(max_examples=50, deadline=None)
+@given(seed=SEEDS, modes=st.integers(min_value=1, max_value=5))
+def test_group_closure_and_homomorphism(seed, modes):
+    rng = np.random.default_rng(seed)
+    g1 = ll.haar_unitary(modes, rng)
+    g2 = ll.haar_unitary(modes, rng)
+    omega = ll.symplectic_form(modes)
+    prod = (ll.realify(g1) @ ll.realify(g2)).entries
+    assert np.linalg.norm(prod.T @ prod - np.eye(2 * modes)) < 1e-10
+    assert np.linalg.norm(prod.T @ omega @ prod - omega) < 1e-10
+    assert np.abs(prod - ll.realify(g1 @ g2).entries).max() < 1e-12
+    assert np.array_equal(ll.realify(g1.conj().T).entries, ll.realify(g1).inverse().entries)
 
 
 def test_embed_junta_full_and_empty():
@@ -148,16 +151,17 @@ def test_fidelity_worked_example():
     assert abs(ll.fidelity(x, plus, minus) - np.exp(-4.0)) < 1e-12
 
 
-def test_fidelity_symmetry_and_left_invariance():
-    rng = np.random.default_rng(17)
-    for _ in range(20):
-        o_u = ll.random_linear_optical(2, rng)
-        o_v = ll.random_linear_optical(2, rng)
-        q = ll.random_linear_optical(2, rng)
-        x = rng.standard_normal(4)
-        f = ll.fidelity(x, o_u, o_v)
-        assert f == ll.fidelity(x, o_v, o_u)
-        assert abs(f - ll.fidelity(x, q @ o_u, q @ o_v)) < 1e-12
+@settings(max_examples=50, deadline=None)
+@given(seed=SEEDS, modes=st.integers(min_value=1, max_value=4))
+def test_fidelity_symmetry_and_left_invariance(seed, modes):
+    rng = np.random.default_rng(seed)
+    o_u = ll.random_linear_optical(modes, rng)
+    o_v = ll.random_linear_optical(modes, rng)
+    q = ll.random_linear_optical(modes, rng)
+    x = rng.standard_normal(2 * modes)
+    f = ll.fidelity(x, o_u, o_v)
+    assert f == ll.fidelity(x, o_v, o_u)
+    assert abs(f - ll.fidelity(x, q @ o_u, q @ o_v)) < 1e-12
 
 
 def test_fidelity_energy_bound():

@@ -3,6 +3,7 @@ import pytest
 
 import linoptlearn as ll
 import linoptlearn.junta as junta_module
+import linoptlearn.training as training_module
 from linoptlearn.core import _realify_raw, substream
 from linoptlearn.errors import BudgetExceeded, DegenerateProbe, InvalidParameter, UndeterminedWarning
 from linoptlearn.junta import StagePolicy, learn_junta
@@ -136,6 +137,18 @@ def test_unseeded_search_leaves_the_optimizer_unseeded(monkeypatch):
     assert seeds == [(7, 2, index) for index in range(3)]
 
 
+def test_generator_seed_is_accepted_and_replayable():
+    # The optimizer seeds were ``(generator, stage, index)`` tuples, which
+    # raised ``TypeError: ... has no len()`` in the first fit.
+    target = ll.SymplecticOrthogonal(np.eye(6))
+    first, second = (
+        learn_junta(target, StagePolicy(optim=FAST_OPTIM), seed=np.random.default_rng(0)) for _ in range(2)
+    )
+    assert first.final_risk < 1e-10
+    assert first.final_risk == second.final_risk
+    assert np.array_equal(first.learned.entries, second.learned.entries)
+
+
 def test_report_json_roundtrip_fields():
     _, target = ll.random_junta(4, 2, seed=31, junta_modes=(2, 3))
     report = learn_junta(target, StagePolicy(energy_scale=2.0, optim=FAST_OPTIM), seed=32)
@@ -181,7 +194,7 @@ def test_identify_junta_degenerate_probes(monkeypatch):
         def standard_normal(self, shape):
             return np.ones(shape)
 
-    monkeypatch.setattr(junta_module, "as_rng", lambda seed=None: ParallelDraws())
+    monkeypatch.setattr(training_module, "as_rng", lambda seed=None: ParallelDraws())
     _, target = ll.random_junta(4, 2, seed=51)
     with pytest.raises(DegenerateProbe):
         ll.identify_junta(target, 1.0, 100, seed=52)
