@@ -10,7 +10,6 @@ brute force as an independent oracle.
 from .core import (
     ComplexTransfer,
     JuntaSpec,
-    MeanVector,
     SymplecticOrthogonal,
     complexify,
     embed_junta,
@@ -60,7 +59,6 @@ __all__ = [
     "FockSpace",
     "JuntaReport",
     "JuntaSpec",
-    "MeanVector",
     "OptimConfig",
     "OptimResult",
     "RiskReport",

@@ -47,7 +47,6 @@ class BoundParams:
     size: int | float
     energy: float
     delta: float
-    c1: float = C1
 
     def __post_init__(self):
         if self.modes < 1 or self.size < 1:
@@ -57,26 +56,17 @@ class BoundParams:
         if not 0.0 < self.delta < 1.0:
             raise InvalidParameter("delta must lie in (0, 1)")
 
-    # Internal proof parameters, exposed for diagnostics only.
-    @property
-    def epsilon_erm1(self) -> float:
-        return math.sqrt(self.energy / self.size)
-
-    @property
-    def epsilon_erm2(self) -> float:
-        return math.sqrt(self.energy / (self.c1 * self.modes * self.size**3))
-
 
 def gap_bound_erm2(params: BoundParams) -> float:
     """High-probability bound on the ERM2 generalization gap."""
-    m, t, e, c1 = params.modes, params.size, params.energy, params.c1
-    log_cover = math.log(6.0 * math.sqrt(c1 * m * t**3))
-    radicand = 16.0 * e * m * log_cover / (c1 * t**3) + 16.0 * e * math.log(
+    m, t, e = params.modes, params.size, params.energy
+    log_cover = math.log(6.0 * math.sqrt(C1 * m * t**3))
+    radicand = 16.0 * e * m * log_cover / (C1 * t**3) + 16.0 * e * math.log(
         2.0 / params.delta
-    ) / (c1 * m * t**3)
+    ) / (C1 * m * t**3)
     if radicand < 0:
         raise InvalidParameter("bound undefined: negative radicand at these parameters")
-    return math.sqrt(radicand) + 2.0 * math.sqrt(e / (c1 * m * t**3))
+    return math.sqrt(radicand) + 2.0 * math.sqrt(e / (C1 * m * t**3))
 
 
 def gap_bound_erm1(params: BoundParams) -> float:
@@ -89,17 +79,8 @@ def gap_bound_erm1(params: BoundParams) -> float:
 
 
 def gap_bound_erm1_prime(params: BoundParams) -> float:
-    """ERM1 bound with the per-state energy lowered to E/T (total budget E).
-
-    The concentration increments shrink by 1/T, which replaces 32E by 32E/T
-    in both radicand terms and E/T by E/T^2 under the trailing square root.
-    """
-    m, t, e = params.modes, params.size, params.energy
-    e_eff = e / t
-    radicand = 32.0 * e_eff * m**2 * math.log(6.0 * math.sqrt(t)) / t + 32.0 * e_eff * math.log(
-        2.0 / params.delta
-    ) / t
-    return math.sqrt(radicand) + 2.0 * math.sqrt(e) / t
+    """ERM1 bound with the per-state energy lowered to E/T (total budget E)."""
+    return gap_bound_erm1(replace(params, energy=params.energy / params.size))
 
 
 _BOUNDS = {
@@ -185,6 +166,7 @@ def lipschitz_check(
     Where a series error estimate exceeds ``TAIL_WARN`` that full risk is a
     ``mc_samples``-point Monte-Carlo estimate instead, with common random
     numbers for the pair, and the ``*_stderr`` fields hold its stderr.
+    ``seed=None`` draws the trials and that Monte-Carlo seed from fresh entropy.
     """
     if trials < 1:
         raise InvalidParameter("trials must be >= 1")
@@ -213,7 +195,9 @@ def lipschitz_check(
                 violations += 1
 
     def full_gap(scheme, eps):
-        mc_seed = _child_seed(0 if seed is None else seed, 1)
+        # One concrete seed for both circuits, also when ``seed`` is None:
+        # common random numbers if the Monte-Carlo fallback is taken.
+        mc_seed = _child_seed(np.random.default_rng() if seed is None else seed, 1)
         values = [
             _full_risk(scheme, o_w, hyp, modes, size, energy, mc_samples, mc_seed)
             for hyp in (o_w, o_v)
@@ -299,6 +283,7 @@ def generalization_experiment(
     3-stderr margin.  ``optimizer_replicas`` independent minimizations per
     set average out the algorithm's direction-of-approach noise.  Sets where
     no replica converges are excluded and counted in ``failures``.
+    ``seed=None`` draws targets, sets, starts and samples from fresh entropy.
     """
     scheme = Scheme.coerce(scheme)
     base = optim or OptimConfig(restarts=4, max_iters=3000)
@@ -309,13 +294,13 @@ def generalization_experiment(
         failures = 0
         violations = 0
         for index in range(sets_per_size):
-            run_seed = _child_seed(0 if seed is None else seed, size, index)
+            run_seed = _child_seed(seed, size, index)
             target = random_linear_optical(modes, substream(run_seed, 0))
             training = sample_training_set(scheme, modes, size, energy, seed=substream(run_seed, 1))
             replica_gaps = []
             margin_ok = True
             for replica in range(optimizer_replicas):
-                result = minimize(training, target, replace(base, seed=(*run_seed, 2, replica)))
+                result = minimize(training, target, replace(base, seed=_child_seed(run_seed, 2, replica)))
                 if not result.converged:
                     continue
                 full, error = _full_risk(
@@ -326,7 +311,7 @@ def generalization_experiment(
                     size,
                     energy,
                     mc_samples,
-                    (*run_seed, 3, replica),
+                    _child_seed(run_seed, 3, replica),
                 )
                 gap = abs(full - result.risk_final)
                 replica_gaps.append(gap)

@@ -89,12 +89,6 @@ def _matrix(value) -> np.ndarray:
     return np.asarray(value)
 
 
-def _vector(value) -> np.ndarray:
-    if isinstance(value, MeanVector):
-        return value.components
-    return np.asarray(value, dtype=float)
-
-
 @dataclass(frozen=True, eq=False)
 class SymplecticOrthogonal:
     """A real 2M x 2M matrix in O(2M) intersected with Sp(2M, R).
@@ -135,10 +129,6 @@ class SymplecticOrthogonal:
     def mode_count(self) -> int:
         return self.entries.shape[0] // 2
 
-    @property
-    def matrix(self) -> np.ndarray:
-        return self.entries
-
     def __matmul__(self, other: "SymplecticOrthogonal") -> "SymplecticOrthogonal":
         return SymplecticOrthogonal(self.entries @ _matrix(other))
 
@@ -177,15 +167,11 @@ class ComplexTransfer:
     def mode_count(self) -> int:
         return self.entries.shape[0]
 
-    @property
-    def matrix(self) -> np.ndarray:
-        return self.entries
-
     def unitarity_residual(self) -> float:
         return _unitarity_defect(self.entries)[1]
 
-    def is_unitary(self, tol: float = UNITARITY_TOL) -> bool:
-        return self.unitarity_residual() <= tol
+    def is_unitary(self) -> bool:
+        return self.unitarity_residual() <= UNITARITY_TOL
 
     def to_json(self) -> dict:
         return {"re": self.entries.real.tolist(), "im": self.entries.imag.tolist()}
@@ -193,38 +179,6 @@ class ComplexTransfer:
     @classmethod
     def from_json(cls, data: dict) -> "ComplexTransfer":
         return cls(np.asarray(data["re"], dtype=float) + 1j * np.asarray(data["im"], dtype=float))
-
-
-@dataclass(frozen=True, eq=False)
-class MeanVector:
-    """Coherent-state mean vector: a real 2M vector in the (q..., p...) ordering."""
-
-    components: np.ndarray
-
-    def __post_init__(self):
-        x = np.array(self.components, dtype=float)
-        if x.ndim != 1 or x.size % 2 or x.size == 0:
-            raise DimensionMismatch(f"expected a flat 2M vector, got shape {x.shape}")
-        if not np.all(np.isfinite(x)):
-            raise InvalidParameter("mean vector has non-finite entries")
-        x.setflags(write=False)
-        object.__setattr__(self, "components", x)
-
-    @property
-    def mode_count(self) -> int:
-        return self.components.size // 2
-
-    @property
-    def energy(self) -> float:
-        """Photon-unit energy ||x||^2 / 2."""
-        return float(self.components @ self.components) / 2.0
-
-    def to_json(self) -> list:
-        return self.components.tolist()
-
-    @classmethod
-    def from_json(cls, data: list) -> "MeanVector":
-        return cls(np.asarray(data, dtype=float))
 
 
 @dataclass(frozen=True, eq=False)
@@ -277,19 +231,19 @@ def _realify_raw(g: np.ndarray) -> np.ndarray:
     return np.block([[re, im], [-im, re]])
 
 
-def realify(transfer, *, unitarity_tol: float = UNITARITY_TOL) -> SymplecticOrthogonal:
+def realify(transfer) -> SymplecticOrthogonal:
     """Map an M x M unitary to its real 2M x 2M orthogonal symplectic action.
 
     Raises:
-        NonUnitaryInput: if ``||G^dag G - I||_F^2`` exceeds ``unitarity_tol``.
+        NonUnitaryInput: if ``||G^dag G - I||_F^2`` exceeds ``UNITARITY_TOL``.
     """
     g = np.asarray(_matrix(transfer), dtype=complex)
     if g.ndim != 2 or g.shape[0] != g.shape[1]:
         raise DimensionMismatch(f"expected a square matrix, got shape {g.shape}")
     _, residual_sq = _unitarity_defect(g)
-    if residual_sq > unitarity_tol:
+    if residual_sq > UNITARITY_TOL:
         raise NonUnitaryInput(
-            f"squared unitarity residual {residual_sq:.3e} exceeds {unitarity_tol:.1e}"
+            f"squared unitarity residual {residual_sq:.3e} exceeds {UNITARITY_TOL:.1e}"
         )
     # An input passing the gate but far from exactly unitary still defines a
     # near-orthogonal block matrix; widen the group tolerance to match.
@@ -389,7 +343,7 @@ def fidelity(x, target, hypothesis) -> float:
     is symmetric in the two circuits and invariant under joint left
     multiplication by any orthogonal matrix.
     """
-    xv = _vector(x)
+    xv = np.asarray(x, dtype=float)
     o_u = np.asarray(_matrix(target), dtype=float)
     o_v = np.asarray(_matrix(hypothesis), dtype=float)
     if o_u.shape != o_v.shape or o_u.shape[0] != xv.size:

@@ -24,7 +24,7 @@ import scipy.linalg
 import scipy.sparse
 from scipy.sparse.linalg import expm_multiply
 
-from .core import _matrix, _vector, complexify
+from .core import _matrix, complexify
 from .errors import DimensionMismatch, InvalidParameter, LogarithmBranchFailure, TruncationRisk
 
 DEFAULT_CUTOFFS = {1: 40, 2: 25}
@@ -75,7 +75,7 @@ class FockSpace:
 
     def amplitudes(self, x) -> np.ndarray:
         """Per-mode complex amplitudes of a mean vector."""
-        xv = _vector(x)
+        xv = np.asarray(x, dtype=float)
         if xv.size != 2 * self.modes:
             raise DimensionMismatch(f"mean vector must have length {2 * self.modes}")
         return (xv[: self.modes] + 1j * xv[self.modes :]) / np.sqrt(2.0)
@@ -96,7 +96,7 @@ def _displacement_generator(x, space: FockSpace) -> scipy.sparse.csr_matrix:
 
 
 def _check_truncation(x, space: FockSpace):
-    xv = _vector(x)
+    xv = np.asarray(x, dtype=float)
     energy = float(xv @ xv) / 2.0
     if energy > space.cutoff / 4.0:
         raise TruncationRisk(

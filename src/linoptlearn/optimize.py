@@ -1,10 +1,12 @@
 """Penalty-method minimization of the empirical risk over raw matrix entries.
 
-The objective is ``risk(G) + penalty_weight * ||G^dag G - I||_F^2`` over the
+The objective is ``risk(G) + PENALTY_WEIGHT * ||G^dag G - I||_F^2`` over the
 real and imaginary parts of G, descended with adaptive per-coordinate steps
 (Adam) under a geometric learning-rate decay, from random near-unitary
 starts.  Runs that stall are handed to a quasi-Newton polish so that exact
-zeros of the risk are resolved well below the reporting thresholds.
+zeros of the risk are resolved well below the reporting thresholds.  A fit
+converges when its projected risk is below ``SUCCESS_RISK`` and its raw
+unitarity residual at most ``core.UNITARITY_TOL``.
 
 Candidate iterates are snapshotted on a fixed stride; each snapshot is scored
 by the risk of its polar projection onto the unitary manifold, and the best
@@ -15,14 +17,34 @@ at any logged trajectory point.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 import scipy.optimize
 
-from .core import ComplexTransfer, _matrix, _unitarity_defect, haar_unitary, substream
+from .core import UNITARITY_TOL, ComplexTransfer, _matrix, _unitarity_defect, haar_unitary, substream
 from .errors import DimensionMismatch, InvalidParameter, SingularMatrix
-from .risk import _embed_complex, _risk_core
+from .risk import _embed_complex, _risk_blocks, _risk_core
 from .training import TrainingSet
+
+
+LEARNING_RATE = 0.08
+"""Initial Adam step size."""
+
+LR_DECAY = 0.998
+"""Geometric decay of the Adam step size per iteration."""
+
+PENALTY_WEIGHT = 10.0
+"""Weight of the unitarity penalty ``||G^dag G - I||_F^2`` in the objective."""
+
+SUCCESS_RISK = 1e-7
+"""Projected risk below which a fit counts as converged."""
+
+INIT_NOISE = 0.1
+"""Scale of the complex Gaussian perturbation added to each Haar start."""
+
+POLISH_ITERS = 500
+"""Iteration cap of the L-BFGS-B polish that follows Adam."""
 
 
 @dataclass(frozen=True)
@@ -30,34 +52,23 @@ class OptimConfig:
     """Knobs of the penalty-method optimizer.
 
     ``stop_risk`` ends a run once the projected risk falls below it (defaults
-    to ``success_risk_threshold``); set it lower when minima must be resolved
-    beyond the success level, e.g. for stage-termination decisions.
+    to ``SUCCESS_RISK``); set it lower when minima must be resolved beyond
+    the success level, e.g. for stage-termination decisions.
     """
 
     max_iters: int = 4000
-    learning_rate: float = 0.08
-    lr_decay: float = 0.998
-    penalty_weight: float = 10.0
     restarts: int = 10
-    success_risk_threshold: float = 1e-7
-    unitarity_threshold: float = 1e-6
-    init_noise: float = 0.1
     stop_risk: float | None = None
-    stop_on_success: bool = True
-    polish: bool = True
-    polish_iters: int = 500
     plateau_window: int = 800
     eval_stride: int = 25
     track_trajectory: bool = False
     seed: int | tuple | None = None
 
+    unitarity_threshold: ClassVar[float] = UNITARITY_TOL  # not a field
+
     def __post_init__(self):
         if self.restarts < 1 or self.max_iters < 0:
             raise InvalidParameter("restarts >= 1 and max_iters >= 0 required")
-        if self.success_risk_threshold <= 0 or self.unitarity_threshold <= 0:
-            raise InvalidParameter("thresholds must be positive")
-        if self.penalty_weight <= 0:
-            raise InvalidParameter("penalty_weight must be positive")
 
 
 @dataclass(frozen=True, eq=False)
@@ -123,14 +134,13 @@ def _matrix_to_theta(g: np.ndarray) -> np.ndarray:
 class _Problem:
     """Risk-plus-penalty objective restricted to an optional mode subset."""
 
-    def __init__(self, training: TrainingSet, target, weight: float, modes=None):
+    def __init__(self, training: TrainingSet, target, modes=None):
         self.x = training.states
         self.o_u = np.asarray(_matrix(target), dtype=float)
         m = self.o_u.shape[0] // 2
         if self.x.shape[1] != 2 * m:
             raise DimensionMismatch("training states and target mode counts differ")
         self.m = m
-        self.weight = weight
         self.modes = tuple(int(j) for j in modes) if modes is not None else None
         if self.modes is not None:
             if not self.modes:
@@ -148,20 +158,21 @@ class _Problem:
     def value_and_grad(self, theta: np.ndarray):
         k = self.k
         g = _theta_to_matrix(theta, k)
-        terms, d_re, d_im = _risk_core(self.x, self.o_u, self.embed(g))
+        terms, w, y = _risk_core(self.x, self.o_u, self.embed(g))
         risk = float(terms.mean())
+        d_re, d_im = _risk_blocks(self.x, w, y)
         if self.modes is not None:
             d_re = d_re[np.ix_(self._idx, self._idx)]
             d_im = d_im[np.ix_(self._idx, self._idx)]
         h, residual = _unitarity_defect(g)
-        w = g @ h
+        gh = g @ h
         grad = np.concatenate(
             [
-                (d_re + 4.0 * self.weight * w.real).ravel(),
-                (d_im + 4.0 * self.weight * w.imag).ravel(),
+                (d_re + 4.0 * PENALTY_WEIGHT * gh.real).ravel(),
+                (d_im + 4.0 * PENALTY_WEIGHT * gh.imag).ravel(),
             ]
         )
-        return risk + self.weight * residual, grad, risk, residual
+        return risk + PENALTY_WEIGHT * residual, grad, risk, residual
 
     def objective(self, theta: np.ndarray):
         f, grad, _, _ = self.value_and_grad(theta)
@@ -183,7 +194,7 @@ def _snapshot(problem: _Problem, theta: np.ndarray):
     return problem.risk_value(projected), residual, projected
 
 
-def _bisect_to_stop(problem: _Problem, above: np.ndarray, below: np.ndarray, stop_risk: float, residual_tol: float):
+def _bisect_to_stop(problem: _Problem, above: np.ndarray, below: np.ndarray, stop_risk: float):
     """Point on the segment between two iterates whose risk just meets the stop level.
 
     Keeps stopped runs comparable: the reported risk lands in
@@ -191,11 +202,11 @@ def _bisect_to_stop(problem: _Problem, above: np.ndarray, below: np.ndarray, sto
     """
     snap = _snapshot(problem, below)
     for _ in range(60):
-        if snap is not None and 0.6 * stop_risk <= snap[0] < stop_risk and snap[1] <= residual_tol:
+        if snap is not None and 0.6 * stop_risk <= snap[0] < stop_risk and snap[1] <= UNITARITY_TOL:
             return below, snap
         mid = 0.5 * (above + below)
         mid_snap = _snapshot(problem, mid)
-        if mid_snap is not None and mid_snap[0] < stop_risk and mid_snap[1] <= residual_tol:
+        if mid_snap is not None and mid_snap[0] < stop_risk and mid_snap[1] <= UNITARITY_TOL:
             below, snap = mid, mid_snap
         else:
             above = mid
@@ -217,7 +228,7 @@ def _run_restart(problem: _Problem, theta0: np.ndarray, cfg: OptimConfig, stop_r
         nonlocal best
         if trajectory is not None:
             trajectory.append((it, risk, residual))
-        key = (residual > cfg.unitarity_threshold, risk, residual)
+        key = (residual > UNITARITY_TOL, risk, residual)
         if best is None or key < best[0]:
             best = (key, risk, residual, projected)
 
@@ -227,9 +238,9 @@ def _run_restart(problem: _Problem, theta0: np.ndarray, cfg: OptimConfig, stop_r
         if snap is None:
             return
         risk, residual, projected = snap
-        if risk < stop_risk and residual <= cfg.unitarity_threshold:
+        if risk < stop_risk and residual <= UNITARITY_TOL:
             if theta_above is not None:
-                _, adjusted = _bisect_to_stop(problem, theta_above, theta, stop_risk, cfg.unitarity_threshold)
+                _, adjusted = _bisect_to_stop(problem, theta_above, theta, stop_risk)
                 if adjusted is not None:
                     risk, residual, projected = adjusted
             stopped = True
@@ -243,7 +254,7 @@ def _run_restart(problem: _Problem, theta0: np.ndarray, cfg: OptimConfig, stop_r
         m = np.zeros_like(theta)
         v = np.zeros_like(theta)
         beta1, beta2, eps = 0.9, 0.999, 1e-8
-        lr = cfg.learning_rate
+        lr = LEARNING_RATE
         f_best = np.inf
         theta_best = theta.copy()
         last_improve = 0
@@ -259,7 +270,7 @@ def _run_restart(problem: _Problem, theta0: np.ndarray, cfg: OptimConfig, stop_r
             mh = m / (1.0 - beta1**it)
             vh = v / (1.0 - beta2**it)
             theta = theta - lr * mh / (np.sqrt(vh) + eps)
-            lr *= cfg.lr_decay
+            lr *= LR_DECAY
             iters_done = it
             if it % cfg.eval_stride == 0:
                 consider(it, theta)
@@ -271,7 +282,7 @@ def _run_restart(problem: _Problem, theta0: np.ndarray, cfg: OptimConfig, stop_r
         if not stopped:
             theta = theta_best
             consider(iters_done, theta)
-    if not stopped and cfg.polish:
+    if not stopped:
 
         def callback(xk):
             consider(iters_done, np.asarray(xk, dtype=float))
@@ -285,7 +296,7 @@ def _run_restart(problem: _Problem, theta0: np.ndarray, cfg: OptimConfig, stop_r
                 jac=True,
                 method="L-BFGS-B",
                 callback=callback,
-                options={"maxiter": cfg.polish_iters, "ftol": 1e-20, "gtol": 1e-14},
+                options={"maxiter": POLISH_ITERS, "ftol": 1e-20, "gtol": 1e-14},
             )
             consider(iters_done, res.x)
         except _StopPolish:
@@ -299,17 +310,18 @@ def minimize(training: TrainingSet, target, config: OptimConfig | None = None, m
     ``modes`` restricts the hypothesis to act nontrivially on a 1-based mode
     subset (identity elsewhere); ``initial`` warm-starts the first restart.
     Restarts own independent random substreams, run in index order and stop
-    early once one meets the success criteria (``stop_on_success``).
+    early once one meets the success criteria.
     """
     cfg = config or OptimConfig()
-    problem = _Problem(training, target, cfg.penalty_weight, modes)
-    stop_risk = cfg.stop_risk if cfg.stop_risk is not None else cfg.success_risk_threshold
+    problem = _Problem(training, target, modes)
+    stop_risk = cfg.stop_risk if cfg.stop_risk is not None else SUCCESS_RISK
     k = problem.k
 
     best = None
     best_iters = 0
     best_traj = None
     restarts_run = 0
+    converged = False
     for r in range(cfg.restarts):
         if initial is not None and r == 0:
             g0 = np.asarray(_matrix(initial), dtype=complex)
@@ -318,7 +330,7 @@ def minimize(training: TrainingSet, target, config: OptimConfig | None = None, m
             theta0 = _matrix_to_theta(g0)
         else:
             rng = substream(cfg.seed, r)
-            noise = cfg.init_noise * (
+            noise = INIT_NOISE * (
                 rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
             ) / np.sqrt(2.0)
             theta0 = _matrix_to_theta(haar_unitary(k, rng) + noise)
@@ -328,16 +340,14 @@ def minimize(training: TrainingSet, target, config: OptimConfig | None = None, m
             best = candidate
             best_iters = iters_done
             best_traj = trajectory
-        if best is not None and cfg.stop_on_success:
+        if best is not None:
             _, risk, residual, _ = best
-            if risk < cfg.success_risk_threshold and residual <= cfg.unitarity_threshold:
+            converged = risk < SUCCESS_RISK and residual <= UNITARITY_TOL
+            if converged:
                 break
     if best is None:
         raise SingularMatrix("all restarts produced singular iterates")
     _, risk_final, residual, projected = best
-    converged = bool(
-        risk_final < cfg.success_risk_threshold and residual <= cfg.unitarity_threshold
-    )
     return OptimResult(
         transfer=ComplexTransfer(projected),
         risk_final=risk_final,

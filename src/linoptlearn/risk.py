@@ -11,9 +11,9 @@ parent sphere for ERM2).
 The hypothesis matrix need not be unitary: penalty-method optimization
 evaluates the risk off the unitary manifold, using the raw block matrix of G.
 
-Monte-Carlo estimators draw fixed-size chunks with per-chunk substreams, so a
-result is deterministic for a given ``(seed, chunk_size)`` pair; the chunk
-layout is part of the interface.
+Monte-Carlo estimators draw ``MC_CHUNK``-sample chunks with per-chunk
+substreams, so a result is deterministic for a given seed; the chunk layout
+is part of the interface.
 """
 
 from __future__ import annotations
@@ -33,6 +33,9 @@ SHELL_STOP = 1e-12
 
 TAIL_WARN = 1e-8
 """Series error estimate above which a ConvergenceWarning is emitted."""
+
+MC_CHUNK = 131072
+"""Samples per Monte-Carlo chunk; chunk ``i`` draws from ``substream(seed, i)``."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -102,22 +105,28 @@ def _embed_complex(g: np.ndarray, modes, mode_count: int) -> np.ndarray:
 
 
 def _risk_core(x: np.ndarray, o_u: np.ndarray, g_full: np.ndarray):
-    """Terms and block gradients of the empirical risk.
+    """Terms of the empirical risk, plus what its gradient needs.
 
-    Returns ``(terms, d_re, d_im)`` where ``d_re``/``d_im`` are the derivative
-    matrices of the mean risk with respect to the real and imaginary parts of
-    the full transfer matrix.
+    Returns ``(terms, w, y)``: the per-state terms ``1 - w`` with overlaps
+    ``w = exp(-q / 2)``, and the rows ``y = (O_U - O_V) x``.
     """
     y, q = _overlap_exponent(x, o_u - _realify_raw(g_full))
     w = np.exp(-0.5 * q)
-    terms = 1.0 - w
-    m = g_full.shape[0]
+    return 1.0 - w, w, y
+
+
+def _risk_blocks(x: np.ndarray, w: np.ndarray, y: np.ndarray):
+    """``(d_re, d_im)``: derivatives of the mean risk with respect to Re G and Im G.
+
+    ``w`` and ``y`` come from ``_risk_core`` on the same states ``x``.
+    """
+    m = x.shape[1] // 2
     t = x.shape[0]
     wy_q = (w[:, None] * y[:, :m]).T
     wy_p = (w[:, None] * y[:, m:]).T
     d_re = -(wy_q @ x[:, :m] + wy_p @ x[:, m:]) / t
     d_im = -(wy_q @ x[:, m:] - wy_p @ x[:, :m]) / t
-    return terms, d_re, d_im
+    return d_re, d_im
 
 
 def empirical_risk(training: TrainingSet, target, transfer) -> RiskReport:
@@ -136,7 +145,9 @@ def empirical_risk_gradient(training: TrainingSet, target, transfer) -> np.ndarr
     The 2M^2-vector of derivatives with respect to (Re G, Im G), each block
     flattened row-major.
     """
-    _, d_re, d_im = _risk_core(*_risk_inputs(training, target, transfer))
+    x, o_u, g = _risk_inputs(training, target, transfer)
+    _, w, y = _risk_core(x, o_u, g)
+    d_re, d_im = _risk_blocks(x, w, y)
     return np.concatenate([d_re.ravel(), d_im.ravel()])
 
 
@@ -162,7 +173,6 @@ def full_risk_mc(
     energy: float,
     samples: int,
     seed=None,
-    chunk_size: int = 131072,
 ):
     """Monte-Carlo estimate ``(value, stderr)`` of the full risk.
 
@@ -186,7 +196,7 @@ def full_risk_mc(
     done = 0
     chunk_index = 0
     while done < samples:
-        n = min(chunk_size, samples - done)
+        n = min(MC_CHUNK, samples - done)
         rng = substream(seed, chunk_index)
         g = rng.standard_normal((n, dim))
         if radius > 0.0:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import as_rng, _vector
+from .core import as_rng
 from .errors import InvalidParameter, UnsupportedRegime
 
 
@@ -185,7 +185,7 @@ def marginal_density(x1, modes: int, count: int, energy: float) -> float:
         raise InvalidParameter("modes must be >= 1")
     if energy <= 0:
         raise InvalidParameter("energy must be positive")
-    x = _vector(x1)
+    x = np.asarray(x1, dtype=float)
     if x.size != 2 * modes:
         raise InvalidParameter(f"x1 must have length {2 * modes}")
     excess = 2.0 * energy - float(x @ x)

@@ -15,7 +15,6 @@ from linoptlearn.training import Scheme
 
 def test_constant_matches_closed_form():
     assert abs(ll.C1 - 1.0 / (9.0 * math.pi**3 * math.log(2.0))) < 1e-15
-    assert abs(ll.BoundParams(2, 4, 1.0, 0.1).c1 - ll.C1) < 1e-15
 
 
 def test_bound_params_validation():
@@ -50,6 +49,23 @@ def test_erm1_prime_never_exceeds_erm1_and_vanishes_at_zero_energy():
                 p = ll.BoundParams(modes, size, energy, 0.1)
                 assert ll.gap_bound_erm1_prime(p) <= ll.gap_bound_erm1(p) + 1e-12
     assert ll.gap_bound_erm1_prime(ll.BoundParams(2, 4, 0.0, 0.1)) == 0.0
+
+
+def test_erm1_prime_values():
+    # Values of the stand-alone ERM1P formula that the ERM1-at-E/T definition
+    # replaced.  That formula took sqrt(E) / T where ERM1 takes sqrt(E / T / T),
+    # and at T = 7 the two round 1 ulp apart.
+    pinned = {
+        (2, 4, 1.0, 0.1): 5.58632654726493,
+        (4, 8, 4.0, 0.05): 10.398743687478882,
+        (1, 2, 0.5, 0.5): 4.461905002464446,
+        (8, 16, 16.0, 0.01): 20.930064244089717,
+        (3, 3, 2.0, 0.1): 14.02452086857011,
+    }
+    for args, value in pinned.items():
+        assert ll.gap_bound_erm1_prime(ll.BoundParams(*args)) == value, args
+    value = 4.688569869031296
+    assert abs(ll.gap_bound_erm1_prime(ll.BoundParams(2, 7, 2.0, 0.1)) - value) <= math.ulp(value)
 
 
 def test_erm2_beats_erm1_beyond_crossover():
@@ -230,3 +246,44 @@ def test_generalization_experiment_accepts_a_generator_seed():
     first, second = run(), run()
     assert first[0].failures + len(first[0].empirical_gaps) == 1
     assert first[0].empirical_gaps == second[0].empirical_gaps
+
+
+def test_unseeded_generalization_experiment_draws_fresh_entropy(monkeypatch):
+    # ``seed=None`` was the fixed seed 0: two calls fitted the same set.
+    fits = []
+
+    def recording(training, target, config):
+        fits.append((training.states, config.seed))
+        return ll.minimize(training, target, config)
+
+    monkeypatch.setattr(bounds_module, "minimize", recording)
+    optim = OptimConfig(restarts=2, max_iters=1500, eval_stride=5)
+    for _ in range(2):
+        ll.generalization_experiment("ERM2", 2, 1.0, (2,), 0.1, 1, seed=None, optim=optim)
+    (first, first_seed), (second, second_seed) = fits
+    assert first_seed is None and second_seed is None
+    assert not np.array_equal(first, second)
+
+
+def test_unseeded_lipschitz_check_keeps_common_random_numbers(monkeypatch):
+    # The Monte-Carlo seed was always ``(0, 1)`` under ``seed=None``.  Both
+    # full risks of a pair must still share one seed: at E=16 the ERM1 series
+    # of this pair cancels and its full risk is a Monte-Carlo estimate.
+    seeds = []
+    full_risk = bounds_module._full_risk
+
+    def recording(scheme, *args):
+        seeds.append((scheme, args[-1]))
+        return full_risk(scheme, *args)
+
+    monkeypatch.setattr(bounds_module, "_full_risk", recording)
+    mc_calls = _record_mc(monkeypatch)
+    rng = substream(7)
+    first, second = ll.random_linear_optical(2, rng), ll.random_linear_optical(2, rng)
+    for _ in range(2):
+        ll.lipschitz_check(first, second, 16.0, trials=1, seed=None, mc_samples=20000)
+    assert [scheme for scheme, _ in mc_calls].count(Scheme.ERM1) == 2
+    erm1 = [seed for scheme, seed in seeds if scheme == Scheme.ERM1]
+    assert len(erm1) == 4 and None not in erm1
+    assert erm1[0] == erm1[1] and erm1[2] == erm1[3]  # one seed per pair
+    assert erm1[0] != erm1[2]  # fresh per call

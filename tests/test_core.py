@@ -208,14 +208,3 @@ def test_junta_spec_json_roundtrip():
     assert back.mode_count == spec.mode_count
     assert back.junta_modes == spec.junta_modes
     assert np.array_equal(back.inner.entries, spec.inner.entries)
-
-
-def test_mean_vector():
-    x = ll.MeanVector(np.array([1.0, 1.0]))
-    assert x.energy == 1.0
-    assert x.mode_count == 1
-    assert ll.MeanVector.from_json(x.to_json()).components.tolist() == [1.0, 1.0]
-    with pytest.raises(DimensionMismatch):
-        ll.MeanVector(np.zeros(3))
-    with pytest.raises(InvalidParameter):
-        ll.MeanVector(np.array([np.inf, 0.0]))

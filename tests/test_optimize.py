@@ -1,8 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 import linoptlearn as ll
-from linoptlearn.core import _realify_raw
+from linoptlearn.core import UNITARITY_TOL, _realify_raw
 from linoptlearn.errors import InvalidParameter, SingularMatrix
 from linoptlearn.optimize import OptimConfig
 
@@ -34,10 +36,14 @@ def test_polar_project_singular():
 def test_config_validation():
     with pytest.raises(InvalidParameter):
         OptimConfig(restarts=0)
-    with pytest.raises(InvalidParameter):
-        OptimConfig(success_risk_threshold=0.0)
-    with pytest.raises(InvalidParameter):
-        OptimConfig(penalty_weight=-1.0)
+
+
+def test_config_fields():
+    names = [field.name for field in dataclasses.fields(OptimConfig)]
+    assert names == [
+        "max_iters", "restarts", "stop_risk", "plateau_window", "eval_stride", "track_trajectory", "seed",
+    ]
+    assert OptimConfig().unitarity_threshold == UNITARITY_TOL
 
 
 def test_warm_start_at_solution_converges_immediately():

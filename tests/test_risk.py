@@ -6,6 +6,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import linoptlearn as ll
+import linoptlearn.junta as junta_module
+import linoptlearn.optimize as optimize_module
+import linoptlearn.risk as risk_module
 from linoptlearn.core import _realify_raw, substream
 from linoptlearn.errors import ConvergenceWarning, DimensionMismatch, InvalidParameter, NonUnitaryInput
 from linoptlearn.risk import TAIL_WARN, ShotModel
@@ -121,6 +124,20 @@ def test_gradient_matches_finite_differences():
     assert analytic.shape == (18,)  # (Re G, Im G), each 3 x 3 flattened row-major
     numeric = _fd_gradient(training, target, g)
     assert np.linalg.norm(analytic - numeric) / np.linalg.norm(numeric) < 1e-5
+
+
+def test_value_only_calls_build_no_gradient(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("gradient blocks built for a value-only call")
+
+    monkeypatch.setattr(risk_module, "_risk_blocks", refuse)
+    monkeypatch.setattr(optimize_module, "_risk_blocks", refuse)
+    target = ll.random_linear_optical(3, seed=14)
+    training = ll.sample_training_set("ERM2", 3, 4, 1.0, seed=15)
+    g = ll.haar_unitary(3, np.random.default_rng(16))
+    ll.empirical_risk(training, target, g)
+    optimize_module._Problem(training, target).risk_value(g)
+    junta_module._composite_risk(training, target, g[:2, :2], (1, 2))
 
 
 def test_risk_dimension_mismatch():
