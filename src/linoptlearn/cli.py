@@ -15,11 +15,12 @@ key is parsed by the type of its config field: list values are separated by
 and ``scheme`` is case-insensitive.  An unknown key or a value that does not
 parse exits with status 2.  A fit that fails inside one sweep point (every
 restart singular, or no junta stage reaching the threshold) becomes a row
-with ``converged = false`` or a failure ``status``; the sweep goes on.
+with ``converged = false`` or a failure ``status``, and its numeric cells
+are ``nan`` in CSV and ``null`` in JSON; the sweep goes on.
 Output rows are produced in sorted sweep order, making repeated runs
-byte-identical for identical configs.  ``--workers`` (or LINOPTLEARN_WORKERS)
-parallelizes sweep points without changing the output; the pool never
-exceeds the number of sweep points.
+byte-identical for identical configs.  ``--workers`` (or LINOPTLEARN_WORKERS,
+at least 1) parallelizes sweep points without changing the output; the pool
+never exceeds the number of sweep points.
 """
 
 from __future__ import annotations
@@ -214,6 +215,11 @@ def _write_rows(rows, header, out, fmt, config):
             writer.writerow([_fmt(row[key]) for key in header])
         payload = buffer.getvalue()
     else:
+        # Strict JSON has no NaN: the NaN cells of failed fits become null.
+        rows = [
+            {k: None if isinstance(v, float) and not math.isfinite(v) else v for k, v in row.items()}
+            for row in rows
+        ]
         payload = json.dumps(rows, indent=2, sort_keys=True) + "\n"
     if out is None or out == "-":
         sys.stdout.write(payload)
@@ -600,6 +606,8 @@ def main(argv=None) -> int:
         workers = args.workers
         if workers is None:
             workers = int(os.environ.get(ENV_WORKERS, "1"))
+        if workers < 1:
+            raise InvalidParameter(f"workers must be >= 1, got {workers}")
     except (LinoptError, ValueError, KeyError, configparser.Error) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -60,14 +60,6 @@ class FockSpace:
             scipy.sparse.kron(eye, single, format="csr"),
         )
 
-    @cached_property
-    def number_total(self) -> scipy.sparse.csr_matrix:
-        total = None
-        for a in self.destroy:
-            term = (a.conj().T @ a).tocsr()
-            total = term if total is None else total + term
-        return total
-
     def vacuum(self) -> np.ndarray:
         v = np.zeros(self.dim, dtype=complex)
         v[0] = 1.0
@@ -81,9 +73,9 @@ class FockSpace:
         return (xv[: self.modes] + 1j * xv[self.modes :]) / np.sqrt(2.0)
 
 
-def fock_space(modes: int, cutoff: int | None = None) -> FockSpace:
+def fock_space(modes: int) -> FockSpace:
     """A FockSpace with the default per-mode cutoff (40 one-mode, 25 two-mode)."""
-    return FockSpace(modes, cutoff if cutoff is not None else DEFAULT_CUTOFFS[modes])
+    return FockSpace(modes, DEFAULT_CUTOFFS[modes])
 
 
 def _displacement_generator(x, space: FockSpace) -> scipy.sparse.csr_matrix:
@@ -169,15 +161,3 @@ def oracle_fidelity(x, target, hypothesis, space: FockSpace | None = None) -> fl
     out_u = apply_circuit(target, psi, space)
     out_v = apply_circuit(hypothesis, psi, space)
     return float(np.abs(np.vdot(out_u, out_v)) ** 2)
-
-
-def photon_number_distribution(state: np.ndarray, space: FockSpace) -> np.ndarray:
-    """Probability of each total photon number 0 .. modes * cutoff."""
-    probs = np.abs(state) ** 2
-    if space.modes == 1:
-        return probs
-    n = space.cutoff + 1
-    grid = np.add.outer(np.arange(n), np.arange(n)).ravel()
-    out = np.zeros(2 * space.cutoff + 1)
-    np.add.at(out, grid, probs)
-    return out

@@ -104,9 +104,6 @@ class JuntaReport:
     energy_spent: float
     terminated_stage: int
 
-    def stage_minima(self) -> dict:
-        return {record.stage: record.minimum for record in self.stages}
-
     def to_json(self) -> dict:
         return {
             "junta_modes": list(self.junta_modes),

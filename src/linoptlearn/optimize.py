@@ -172,11 +172,7 @@ class _Problem:
                 (d_im + 4.0 * PENALTY_WEIGHT * gh.imag).ravel(),
             ]
         )
-        return risk + PENALTY_WEIGHT * residual, grad, risk, residual
-
-    def objective(self, theta: np.ndarray):
-        f, grad, _, _ = self.value_and_grad(theta)
-        return f, grad
+        return risk + PENALTY_WEIGHT * residual, grad
 
     def risk_value(self, g: np.ndarray) -> float:
         terms, _, _ = _risk_core(self.x, self.o_u, self.embed(g))
@@ -259,7 +255,7 @@ def _run_restart(problem: _Problem, theta0: np.ndarray, cfg: OptimConfig, stop_r
         theta_best = theta.copy()
         last_improve = 0
         for it in range(1, cfg.max_iters + 1):
-            f, grad, _, _ = problem.value_and_grad(theta)
+            f, grad = problem.value_and_grad(theta)
             if f < f_best:
                 if f < f_best - max(1e-16, 1e-4 * f_best):
                     last_improve = it
@@ -291,7 +287,7 @@ def _run_restart(problem: _Problem, theta0: np.ndarray, cfg: OptimConfig, stop_r
 
         try:
             res = scipy.optimize.minimize(
-                problem.objective,
+                problem.value_and_grad,
                 theta,
                 jac=True,
                 method="L-BFGS-B",

@@ -44,7 +44,6 @@ class RiskReport:
 
     value: float
     per_term: np.ndarray
-    scheme: Scheme | None = None
     shots: int | None = None
 
     def __post_init__(self):
@@ -63,7 +62,6 @@ class SeriesResult:
     """Truncated-series evaluation of a full risk."""
 
     value: float
-    truncation_order: int
     singular_values: np.ndarray
     error_estimate: float
 
@@ -136,7 +134,7 @@ def empirical_risk(training: TrainingSet, target, transfer) -> RiskReport:
     optimizer's concern.
     """
     terms, _, _ = _risk_core(*_risk_inputs(training, target, transfer))
-    return RiskReport(value=float(terms.mean()), per_term=terms, scheme=training.scheme)
+    return RiskReport(value=float(terms.mean()), per_term=terms)
 
 
 def empirical_risk_gradient(training: TrainingSet, target, transfer) -> np.ndarray:
@@ -297,7 +295,7 @@ def series_full_risk(
             "sphere-moment series overflowed; result is unusable at this energy",
             ConvergenceWarning,
         )
-        return SeriesResult(math.nan, used, kappa, math.inf)
+        return SeriesResult(math.nan, kappa, math.inf)
     error = last + largest * 2.0**-52 * (used + 1)
     if error > TAIL_WARN:
         warnings.warn(
@@ -310,7 +308,7 @@ def series_full_risk(
         value = 0.0
     elif 1.0 < value <= 1.0 + slack:
         value = 1.0
-    return SeriesResult(value, used, kappa, error)
+    return SeriesResult(value, kappa, error)
 
 
 def swap_test_fidelity_estimate(q, shots: int, rng):
@@ -338,9 +336,4 @@ def swap_test_risk(training: TrainingSet, target, transfer, model: ShotModel) ->
         raise NonUnitaryInput("swap-test risk requires a unitary transfer matrix")
     _, q = _overlap_exponent(x, o_u - _realify_raw(g))
     terms = 1.0 - swap_test_fidelity_estimate(q, model.shots, as_rng(model.seed))
-    return RiskReport(
-        value=float(terms.mean()),
-        per_term=terms,
-        scheme=training.scheme,
-        shots=model.shots,
-    )
+    return RiskReport(value=float(terms.mean()), per_term=terms, shots=model.shots)

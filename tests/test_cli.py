@@ -290,6 +290,10 @@ def test_config_error_exit_code(tmp_path):
     ):
         bad = _write(tmp_path, "bad.ini", text)
         assert cli.main([command, "--config", bad, "--out", "-"]) == cli.EXIT_CONFIG
+    # A worker count below 1 once ran serially with exit 0.
+    good = _write(tmp_path, "good.ini", ERM_INI)
+    for workers in ("0", "-3"):
+        assert cli.main(["erm", "--config", good, "--out", "-", "--workers", workers]) == cli.EXIT_CONFIG
 
 
 def _raise_on_seed_one(fit, error):
@@ -323,6 +327,20 @@ def test_failed_fit_is_a_row_not_an_abort(tmp_path, monkeypatch, command, text, 
     else:
         assert ok["status"] == "ok" and failed["status"] == "singular_matrix"
         assert failed["final_risk"] == "nan" and failed["recovered_ok"] == "false"
+    json_out = str(tmp_path / "rows.json")
+    assert cli.main([command, "--config", config, "--out", json_out, "--format", "json", "--workers", "1"]) == 0
+
+    def reject(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    ok, failed = json.load(open(json_out), parse_constant=reject)
+    nan_keys = (
+        ("risk_final", "frobenius_dist_sq", "unitarity_residual")
+        if command == "erm"
+        else ("final_risk", "frobenius_dist_sq", "energy_spent")
+    )
+    assert all(failed[key] is None for key in nan_keys)
+    assert all(isinstance(ok[key], float) for key in nan_keys)
     monkeypatch.setattr(cli, fit, _raise_on_seed_one(original, InvalidParameter))
     assert cli.main([command, "--config", config, "--out", out, "--workers", "1"]) == cli.EXIT_CONFIG
 
@@ -346,8 +364,9 @@ def test_env_var_worker_default(tmp_path, monkeypatch):
     monkeypatch.delenv(cli.ENV_WORKERS)
     assert cli.main(["erm", "--config", config, "--out", baseline]) == 0
     assert open(out, "rb").read() == open(baseline, "rb").read()
-    monkeypatch.setenv(cli.ENV_WORKERS, "abc")
-    assert cli.main(["erm", "--config", config, "--out", out]) == cli.EXIT_CONFIG
+    for bad in ("abc", "0", "-3"):
+        monkeypatch.setenv(cli.ENV_WORKERS, bad)
+        assert cli.main(["erm", "--config", config, "--out", out]) == cli.EXIT_CONFIG
 
 
 def test_verify_default_scale_runtime():
