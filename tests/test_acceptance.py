@@ -11,8 +11,8 @@ import time
 import numpy as np
 
 import linoptlearn as ll
+from linoptlearn import cli
 from linoptlearn.core import _realify_raw, substream
-from linoptlearn.fock import FockSpace, oracle_fidelity
 from linoptlearn.optimize import OptimConfig
 
 
@@ -24,23 +24,10 @@ def _report(number: int, description: str, ok: bool, detail: str = ""):
 
 def test_criterion_01_oracle_agreement():
     started = time.time()
-    worst = 0.0
-    for index in range(100):
-        modes = 1 + index % 2
-        rng = substream(1000, index)
-        target = ll.random_linear_optical(modes, rng)
-        other = ll.random_linear_optical(modes, rng)
-        x = rng.standard_normal(2 * modes)
-        x *= rng.uniform(0.1, 2.0) / np.linalg.norm(x)
-        space = FockSpace(modes, 40)
-        worst = max(worst, abs(ll.fidelity(x, target, other) - oracle_fidelity(x, target, other, space)))
+    _, _, detail, worst = cli.check_oracle(100, 1000)
     elapsed = time.time() - started
-    _report(
-        1,
-        "closed-form vs Fock-space fidelity, 100 instances",
-        worst < 1e-8 and elapsed < 60.0,
-        f"(max|diff|={worst:.2e}, {elapsed:.0f}s)",
-    )
+    ok = worst < 1e-8 and elapsed < 60.0
+    _report(1, "closed-form vs Fock-space fidelity, 100 instances", ok, f"({detail}, {elapsed:.0f}s)")
 
 
 def _erm_sweep_point(scheme, size, seed, energy=1.0, modes=4, restarts=10):
@@ -112,68 +99,25 @@ def test_criterion_04_junta_recovery():
 
 
 def test_criterion_05_gradient_correctness():
-    worst = 0.0
-    for index in range(50):
-        rng = substream(2000, index)
-        modes = 2 + index % 3
-        target = ll.random_linear_optical(modes, rng)
-        training = ll.sample_training_set(("ERM1", "ERM1P", "ERM2")[index % 3], modes, 3, 1.0, seed=rng)
-        g = ll.haar_unitary(modes, rng) + 0.2 * (
-            rng.standard_normal((modes, modes)) + 1j * rng.standard_normal((modes, modes))
-        )
-        analytic = ll.empirical_risk_gradient(training, target, g)
-        step = 1e-5
-        theta = np.concatenate([g.real.ravel(), g.imag.ravel()])
-        numeric = np.zeros_like(theta)
-        for i in range(theta.size):
-            for sign in (1.0, -1.0):
-                probe = theta.copy()
-                probe[i] += sign * step
-                gp = probe[: modes * modes].reshape(modes, modes) + 1j * probe[modes * modes :].reshape(
-                    modes, modes
-                )
-                numeric[i] += sign * ll.empirical_risk(training, target, gp).value
-        numeric /= 2.0 * step
-        worst = max(worst, float(np.linalg.norm(analytic - numeric) / np.linalg.norm(numeric)))
-    _report(5, "analytic vs central-difference gradients, 50 instances", worst < 1e-5, f"(max rel={worst:.2e})")
+    _, _, detail, worst = cli.check_gradient(50, 2000)
+    _report(5, "analytic vs central-difference gradients, 50 instances", worst < 1e-5, f"({detail})")
 
 
 def test_criterion_06_marginal_energy():
-    sets = 100000
-    total = 0.0
-    for index in range(sets):
-        training = ll.sample_training_set("ERM2", 4, 5, 10.0, seed=index)
-        total += training.state_energies()[0]
-    mean = total / sets
-    _report(6, "ERM2 per-state energy E/T at M=4 T=5 E=10", abs(mean - 2.0) <= 0.02 * 2.0, f"(mean={mean:.4f})")
+    _, _, detail, mean = cli.check_marginal_energy(100000, ())
+    _report(6, "ERM2 per-state energy E/T at M=4 T=5 E=10", abs(mean - 2.0) <= 0.02 * 2.0, f"({detail})")
 
 
 def test_criterion_07_series_mc_agreement():
-    ok = True
-    details = []
-    for index in range(5):
-        rng = substream(3000, index)
-        target = ll.random_linear_optical(1, rng)
-        other = ll.random_linear_optical(1, rng)
-        energy = float(rng.uniform(0.2, 2.0))
-        series = ll.series_full_risk(target, other, energy)
-        estimate, stderr = ll.full_risk_mc("ERM1", target, other, 1, 1, energy, 1_000_000, seed=(3000, index))
-        gap = abs(series.value - estimate)
-        # 1e-12 floor: at M=1 the integrand is constant on the sphere, so the
-        # sample stderr is pure floating-point noise.
-        ok &= gap < 3.0 * stderr + 1e-12
-        details.append(f"{gap:.1e}")
-    _report(7, "series vs Monte-Carlo full risk, M=1", ok, f"(gaps {', '.join(details)})")
+    _, _, detail, pairs = cli.check_series_vs_mc(3000, 1_000_000)
+    # 1e-12 floor: at M=1 the sample stderr is pure floating-point noise.
+    ok = all(gap < 3.0 * stderr + 1e-12 for gap, stderr in pairs)
+    _report(7, "series vs Monte-Carlo full risk, M=1", ok, f"({detail})")
 
 
 def test_criterion_08_lipschitz_verification():
-    violations = 0
-    for index in range(1000):
-        first = ll.random_linear_optical(2, seed=substream(index, 0))
-        second = ll.random_linear_optical(2, seed=substream(index, 1))
-        report = ll.lipschitz_check(first, second, 1.0, trials=1, seed=(index, 2), size=3, mc_samples=20000)
-        violations += report.empirical_violations + report.full_violations
-    _report(8, "risk continuity on 1000 random triples at M=2 E=1", violations == 0, f"({violations} violations)")
+    _, _, detail, violations = cli.check_lipschitz(1000, ())
+    _report(8, "risk continuity on 1000 random triples at M=2 E=1", violations == 0, f"({detail})")
 
 
 def test_criterion_09_generalization_gaps():

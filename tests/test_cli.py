@@ -264,21 +264,23 @@ def test_swap_risk_shot_seeds_do_not_collide(tmp_path, monkeypatch):
     assert as_rng(first.seed).random(4).tolist() != as_rng(second.seed).random(4).tolist()
 
 
-def test_cmd_verify_pass_and_negative_control(tmp_path, capsys):
+def test_cmd_verify_pass_and_negative_control(tmp_path, monkeypatch):
     config = _write(tmp_path, "verify.ini", VERIFY_INI)
-    assert cli.main(["verify", "--config", config]) == 0
-    table = capsys.readouterr().out
-    assert "oracle-agreement" in table and "FAIL" not in table
+    serial, parallel, rows = (str(tmp_path / name) for name in ("s.csv", "p.csv", "rows.json"))
+    assert cli.main(["verify", "--config", config, "--out", serial, "--workers", "1"]) == 0
+    assert cli.main(["verify", "--config", config, "--out", parallel, "--workers", "2"]) == 0
+    assert open(serial, "rb").read() == open(parallel, "rb").read()
+    assert json.load(open(serial + ".meta.json"))["command"] == "verify"
+    assert cli.main(["verify", "--config", config, "--out", rows, "--format", "json"]) == 0
 
-    def broken_fidelity(x, target, hypothesis):
-        return min(1.0, ll.fidelity(x, target, hypothesis) + 1e-4)
+    def reject(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
 
-    code = cli.cmd_verify(cli.VerifyConfig(oracle_instances=4, gradient_instances=1,
-                                           lipschitz_trials=25, marginal_sets=500,
-                                           series_samples=20000),
-                          workers=1, out=None, fmt="csv", fidelity_fn=broken_fidelity)
-    assert code == cli.EXIT_VERIFY
-    assert "FAIL" in capsys.readouterr().out
+    checks = json.load(open(rows), parse_constant=reject)
+    assert all(row["passed"] is True for row in checks)
+    monkeypatch.setattr(cli, "fidelity", lambda x, u, v: min(1.0, ll.fidelity(x, u, v) + 1e-4))
+    assert cli.main(["verify", "--config", config, "--out", serial]) == cli.EXIT_VERIFY
+    assert "\noracle-agreement,false," in open(serial).read()
 
 
 def test_config_error_exit_code(tmp_path):
@@ -287,6 +289,10 @@ def test_config_error_exit_code(tmp_path):
         ("erm", "[erm]\nscheme = ERM3\n"),
         ("erm", "[erm]\nmodes = four\n"),
         ("junta", "[junta]\nmodes = 4\njunta_size = 5\nseed_count = 1\n"),
+        # verify once passed with nothing checked, and a negative seed ended in a traceback.
+        ("verify", "[verify]\noracle_instances = 0\n"), ("verify", "[verify]\ngradient_instances = -2\n"),
+        ("verify", "[verify]\nlipschitz_trials = 0\n"), ("verify", "[verify]\nmarginal_sets = 0\n"),
+        ("erm", "[erm]\nbase_seed = -5\n"),
     ):
         bad = _write(tmp_path, "bad.ini", text)
         assert cli.main([command, "--config", bad, "--out", "-"]) == cli.EXIT_CONFIG
@@ -294,6 +300,7 @@ def test_config_error_exit_code(tmp_path):
     good = _write(tmp_path, "good.ini", ERM_INI)
     for workers in ("0", "-3"):
         assert cli.main(["erm", "--config", good, "--out", "-", "--workers", workers]) == cli.EXIT_CONFIG
+    assert cli.main(["erm", "--config", good, "--out", "-", "--seed", "-1"]) == cli.EXIT_CONFIG
 
 
 def _raise_on_seed_one(fit, error):
@@ -373,9 +380,9 @@ def test_verify_default_scale_runtime():
     import time
 
     started = time.time()
-    rows, passed = cli.run_verification(cli.VerifyConfig())
+    rows = cli.run_verification(cli.VerifyConfig())
     elapsed = time.time() - started
-    assert passed
+    assert all(row["passed"] for row in rows)
     assert elapsed < 300.0
 
 

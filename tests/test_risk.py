@@ -9,22 +9,10 @@ import linoptlearn as ll
 import linoptlearn.junta as junta_module
 import linoptlearn.optimize as optimize_module
 import linoptlearn.risk as risk_module
+from linoptlearn import cli
 from linoptlearn.core import _realify_raw, substream
 from linoptlearn.errors import ConvergenceWarning, DimensionMismatch, InvalidParameter, NonUnitaryInput
 from linoptlearn.risk import TAIL_WARN, ShotModel
-
-
-def _fd_gradient(training, target, g, step=1e-5):
-    m = g.shape[0]
-    theta = np.concatenate([g.real.ravel(), g.imag.ravel()])
-    grad = np.zeros_like(theta)
-    for i in range(theta.size):
-        for sign in (1.0, -1.0):
-            probe = theta.copy()
-            probe[i] += sign * step
-            gp = probe[: m * m].reshape(m, m) + 1j * probe[m * m :].reshape(m, m)
-            grad[i] += sign * ll.empirical_risk(training, target, gp).value
-    return grad / (2.0 * step)
 
 
 _seeds = st.integers(0, 2**32 - 1)
@@ -122,7 +110,7 @@ def test_gradient_matches_finite_differences():
     g = ll.haar_unitary(3, rng) + 0.2 * (rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
     analytic = ll.empirical_risk_gradient(training, target, g)
     assert analytic.shape == (18,)  # (Re G, Im G), each 3 x 3 flattened row-major
-    numeric = _fd_gradient(training, target, g)
+    numeric = cli.central_difference(training, target, g)
     assert np.linalg.norm(analytic - numeric) / np.linalg.norm(numeric) < 1e-5
 
 
