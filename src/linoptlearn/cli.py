@@ -67,7 +67,7 @@ from .core import (
 from .errors import InvalidParameter, LinoptError, SingularMatrix, StageLimitReached
 from .fock import FockSpace, oracle_fidelity
 from .junta import StagePolicy, learn_junta
-from .optimize import OptimConfig, minimize
+from .optimize import OptimConfig, minimize, polish_blas_threads
 from .risk import (
     ShotModel,
     _embed_complex,
@@ -233,6 +233,7 @@ def _write_rows(rows, header, out, fmt, config):
         "version": __version__,
         "format": fmt,
         "config": _section(config),
+        "polish_blas_threads": polish_blas_threads(),
     }
     with open(out + ".meta.json", "w", encoding="utf-8") as handle:
         json.dump(sidecar, handle, indent=2, sort_keys=True)

@@ -14,6 +14,7 @@ All operations here are pure; random sampling takes an explicit seed or
 
 from __future__ import annotations
 
+import functools
 from dataclasses import InitVar, dataclass
 from typing import Sequence
 
@@ -219,16 +220,32 @@ class JuntaSpec:
         return cls(int(data["M"]), tuple(data["J"]), SymplecticOrthogonal.from_json(data["inner"]))
 
 
+@functools.lru_cache(maxsize=32)
+def _identity(size: int) -> np.ndarray:
+    """Read-only ``size x size`` identity, built once per size."""
+    eye = np.eye(size)
+    eye.setflags(write=False)
+    return eye
+
+
 def _unitarity_defect(g: np.ndarray):
     """``(H, ||H||_F^2)`` with ``H = G^dag G - I``: the unitarity residual and its matrix."""
-    h = g.conj().T @ g - np.eye(g.shape[0])
+    h = g.conj().T @ g - _identity(g.shape[0])
     return h, float(np.sum(np.abs(h) ** 2))
 
 
 def _realify_raw(g: np.ndarray) -> np.ndarray:
-    """Block matrix [[Re G, Im G], [-Im G, Re G]] without any unitarity check."""
-    re, im = g.real, g.imag
-    return np.block([[re, im], [-im, re]])
+    """Block matrix [[Re G, Im G], [-Im G, Re G]] without any unitarity check.
+
+    Fills one preallocated array; ``np.block`` gives the same bits at several
+    times the cost, which shows in the optimizer's inner loop.
+    """
+    rows, cols = g.shape
+    out = np.empty((2 * rows, 2 * cols), dtype=g.real.dtype)
+    out[:rows, :cols] = out[rows:, cols:] = g.real
+    out[:rows, cols:] = g.imag
+    np.negative(g.imag, out=out[rows:, :cols])
+    return out
 
 
 def realify(transfer) -> SymplecticOrthogonal:

@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import ComplexTransfer, _child_seed, _matrix, _overlap_exponent, as_rng, substream
+from .core import ComplexTransfer, _child_seed, _matrix, _overlap_exponent, _realify_raw, as_rng, substream
 from .errors import (
     BudgetExceeded,
     DegenerateProbe,
@@ -127,7 +127,7 @@ def _compose_selected(selected_results, junta: tuple, mode_count: int) -> np.nda
 def _composite_risk(training, target, g_block: np.ndarray, junta: tuple) -> float:
     o_u = np.asarray(_matrix(target), dtype=float)
     g_full = _embed_complex(g_block, junta, o_u.shape[0] // 2)
-    terms, _, _ = _risk_core(training.states, o_u, g_full)
+    terms, _, _ = _risk_core(training.states, o_u - _realify_raw(g_full))
     return float(terms.mean())
 
 

@@ -16,15 +16,20 @@ at any logged trajectory point.
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
+import glob
+import os
 from dataclasses import dataclass
 from typing import ClassVar
 
 import numpy as np
 import scipy.optimize
 
-from .core import UNITARITY_TOL, ComplexTransfer, _matrix, _unitarity_defect, haar_unitary, substream
+from .core import UNITARITY_TOL, ComplexTransfer, _matrix, _realify_raw, _unitarity_defect, haar_unitary, substream
 from .errors import DimensionMismatch, InvalidParameter, SingularMatrix
-from .risk import _embed_complex, _risk_blocks, _risk_core
+from .risk import _risk_blocks, _risk_core
 from .training import TrainingSet
 
 
@@ -132,38 +137,49 @@ def _matrix_to_theta(g: np.ndarray) -> np.ndarray:
 
 
 class _Problem:
-    """Risk-plus-penalty objective restricted to an optional mode subset."""
+    """Risk-plus-penalty objective restricted to an optional mode subset.
+
+    The hypothesis is G on the subset's modes and the identity elsewhere, so
+    ``O_U - R(embed(G))`` changes between evaluations only in the 2k x 2k
+    block of the subset's quadratures.  The rest is formed once; each
+    evaluation rewrites that block alone, with the same arithmetic as the
+    full difference.
+    """
 
     def __init__(self, training: TrainingSet, target, modes=None):
         self.x = training.states
-        self.o_u = np.asarray(_matrix(target), dtype=float)
-        m = self.o_u.shape[0] // 2
+        o_u = np.asarray(_matrix(target), dtype=float)
+        m = o_u.shape[0] // 2
         if self.x.shape[1] != 2 * m:
             raise DimensionMismatch("training states and target mode counts differ")
-        self.m = m
         self.modes = tuple(int(j) for j in modes) if modes is not None else None
         if self.modes is not None:
             if not self.modes:
                 raise InvalidParameter("modes subset must be nonempty")
             if any(not 1 <= j <= m for j in self.modes):
                 raise InvalidParameter(f"modes must lie in 1..{m}")
-            self._idx = np.asarray([j - 1 for j in self.modes], dtype=int)
+            idx = np.asarray([j - 1 for j in self.modes], dtype=int)
+            quadratures = np.concatenate([idx, m + idx])
+            self._sub = np.ix_(idx, idx)  # the subset's block of the full gradient
+            self._block = np.ix_(quadratures, quadratures)
+        else:
+            self._sub = self._block = (slice(None), slice(None))
         self.k = len(self.modes) if self.modes is not None else m
+        self._delta = o_u - _realify_raw(np.eye(m, dtype=complex))
+        self._o_u_block = o_u[self._block]
 
-    def embed(self, g: np.ndarray) -> np.ndarray:
-        if self.modes is None:
-            return g
-        return _embed_complex(g, self.modes, self.m)
+    def difference(self, g: np.ndarray) -> np.ndarray:
+        """``O_U - R(embed(G))``, written into a buffer the next call overwrites."""
+        self._delta[self._block] = self._o_u_block - _realify_raw(g)
+        return self._delta
 
     def value_and_grad(self, theta: np.ndarray):
         k = self.k
         g = _theta_to_matrix(theta, k)
-        terms, w, y = _risk_core(self.x, self.o_u, self.embed(g))
+        terms, w, y = _risk_core(self.x, self.difference(g))
         risk = float(terms.mean())
         d_re, d_im = _risk_blocks(self.x, w, y)
-        if self.modes is not None:
-            d_re = d_re[np.ix_(self._idx, self._idx)]
-            d_im = d_im[np.ix_(self._idx, self._idx)]
+        d_re, d_im = d_re[self._sub], d_im[self._sub]
         h, residual = _unitarity_defect(g)
         gh = g @ h
         grad = np.concatenate(
@@ -175,7 +191,7 @@ class _Problem:
         return risk + PENALTY_WEIGHT * residual, grad
 
     def risk_value(self, g: np.ndarray) -> float:
-        terms, _, _ = _risk_core(self.x, self.o_u, self.embed(g))
+        terms, _, _ = _risk_core(self.x, self.difference(g))
         return float(terms.mean())
 
 
@@ -211,6 +227,56 @@ def _bisect_to_stop(problem: _Problem, above: np.ndarray, below: np.ndarray, sto
 
 class _StopPolish(Exception):
     pass
+
+
+@functools.cache
+def _scipy_blas():
+    """scipy's bundled OpenBLAS, or ``None`` where it is not found.
+
+    A wheel install keeps it in ``scipy.libs`` next to the package; a scipy
+    built against a system BLAS has none, and the polish then leaves that
+    BLAS as it is.
+    """
+    folder = os.path.join(os.path.dirname(os.path.dirname(scipy.__file__)), "scipy.libs")
+    for path in sorted(glob.glob(os.path.join(folder, "libscipy_openblas*"))):
+        try:
+            lib = ctypes.CDLL(path)
+            lib.scipy_openblas_set_num_threads.argtypes = [ctypes.c_int]
+            lib.scipy_openblas_set_num_threads.restype = None
+            lib.scipy_openblas_get_num_threads.argtypes = []
+            lib.scipy_openblas_get_num_threads.restype = ctypes.c_int
+        except (OSError, AttributeError):  # not loadable, or an OpenBLAS without these symbols
+            continue
+        return lib
+    return None
+
+
+def polish_blas_threads() -> int | None:
+    """BLAS threads of the L-BFGS-B polish: 1, or ``None`` if scipy's OpenBLAS was not found."""
+    return 1 if _scipy_blas() is not None else None
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run scipy's OpenBLAS on one thread inside the block, then restore its count.
+
+    L-BFGS-B on a few dozen variables wakes that library's worker thread,
+    which then spins on a second core for the whole polish and slows the
+    main thread through handoffs.  The problems are far too small to gain
+    from a second thread, and the polish computes the same bits on one.
+    The count is per process: polishes that overlap in threads of one
+    process may restore it out of order, which changes speed, not results.
+    """
+    lib = _scipy_blas()
+    if lib is None:
+        yield
+        return
+    previous = lib.scipy_openblas_get_num_threads()
+    lib.scipy_openblas_set_num_threads(1)
+    try:
+        yield
+    finally:
+        lib.scipy_openblas_set_num_threads(previous)
 
 
 def _run_restart(problem: _Problem, theta0: np.ndarray, cfg: OptimConfig, stop_risk: float):
@@ -261,11 +327,19 @@ def _run_restart(problem: _Problem, theta0: np.ndarray, cfg: OptimConfig, stop_r
                     last_improve = it
                 f_best = f
                 theta_best = theta.copy()
-            m = beta1 * m + (1.0 - beta1) * grad
-            v = beta2 * v + (1.0 - beta2) * grad * grad
-            mh = m / (1.0 - beta1**it)
-            vh = v / (1.0 - beta2**it)
-            theta = theta - lr * mh / (np.sqrt(vh) + eps)
+            # In place, with the rounding of m = beta1 m + (1 - beta1) grad,
+            # v likewise, and theta -= lr mh / (sqrt(vh) + eps).
+            m *= beta1
+            m += (1.0 - beta1) * grad
+            v *= beta2
+            v += (1.0 - beta2) * grad * grad
+            step = m / (1.0 - beta1**it)
+            step *= lr
+            denom = v / (1.0 - beta2**it)
+            np.sqrt(denom, out=denom)
+            denom += eps
+            step /= denom
+            theta -= step
             lr *= LR_DECAY
             iters_done = it
             if it % cfg.eval_stride == 0:
@@ -286,14 +360,15 @@ def _run_restart(problem: _Problem, theta0: np.ndarray, cfg: OptimConfig, stop_r
                 raise _StopPolish
 
         try:
-            res = scipy.optimize.minimize(
-                problem.value_and_grad,
-                theta,
-                jac=True,
-                method="L-BFGS-B",
-                callback=callback,
-                options={"maxiter": POLISH_ITERS, "ftol": 1e-20, "gtol": 1e-14},
-            )
+            with _one_blas_thread():
+                res = scipy.optimize.minimize(
+                    problem.value_and_grad,
+                    theta,
+                    jac=True,
+                    method="L-BFGS-B",
+                    callback=callback,
+                    options={"maxiter": POLISH_ITERS, "ftol": 1e-20, "gtol": 1e-14},
+                )
             consider(iters_done, res.x)
         except _StopPolish:
             pass

@@ -79,7 +79,10 @@ class ShotModel:
 
 
 def _risk_inputs(training: TrainingSet, target, transfer):
-    """``(x, O_U, G)`` of a risk evaluation, with their shapes checked."""
+    """``(x, delta, G)`` of a risk evaluation, with their shapes checked.
+
+    ``delta = O_U - _realify_raw(G)`` is the argument of ``_risk_core``.
+    """
     x = training.states
     o_u = np.asarray(_matrix(target), dtype=float)
     g = np.asarray(_matrix(transfer), dtype=complex)
@@ -91,7 +94,7 @@ def _risk_inputs(training: TrainingSet, target, transfer):
         raise DimensionMismatch(f"expected a square transfer matrix, got {g.shape}")
     if 2 * g.shape[0] != o_u.shape[0]:
         raise DimensionMismatch("transfer and target mode counts differ")
-    return x, o_u, g
+    return x, o_u - _realify_raw(g), g
 
 
 def _embed_complex(g: np.ndarray, modes, mode_count: int) -> np.ndarray:
@@ -102,13 +105,17 @@ def _embed_complex(g: np.ndarray, modes, mode_count: int) -> np.ndarray:
     return full
 
 
-def _risk_core(x: np.ndarray, o_u: np.ndarray, g_full: np.ndarray):
+def _risk_core(x: np.ndarray, delta: np.ndarray):
     """Terms of the empirical risk, plus what its gradient needs.
 
+    ``x`` stacks the training states as rows and ``delta = O_U - O_V`` is the
+    real 2M x 2M difference, with ``O_V = _realify_raw(G)`` for the raw
+    hypothesis G.  The caller forms ``delta``: the optimizer keeps the part
+    that does not depend on G and rewrites only the rest per evaluation.
     Returns ``(terms, w, y)``: the per-state terms ``1 - w`` with overlaps
-    ``w = exp(-q / 2)``, and the rows ``y = (O_U - O_V) x``.
+    ``w = exp(-q / 2)``, and the rows ``y = delta x``.
     """
-    y, q = _overlap_exponent(x, o_u - _realify_raw(g_full))
+    y, q = _overlap_exponent(x, delta)
     w = np.exp(-0.5 * q)
     return 1.0 - w, w, y
 
@@ -133,7 +140,8 @@ def empirical_risk(training: TrainingSet, target, transfer) -> RiskReport:
     ``transfer`` may be any complex square matrix; unitarity is the
     optimizer's concern.
     """
-    terms, _, _ = _risk_core(*_risk_inputs(training, target, transfer))
+    x, delta, _ = _risk_inputs(training, target, transfer)
+    terms, _, _ = _risk_core(x, delta)
     return RiskReport(value=float(terms.mean()), per_term=terms)
 
 
@@ -143,8 +151,8 @@ def empirical_risk_gradient(training: TrainingSet, target, transfer) -> np.ndarr
     The 2M^2-vector of derivatives with respect to (Re G, Im G), each block
     flattened row-major.
     """
-    x, o_u, g = _risk_inputs(training, target, transfer)
-    _, w, y = _risk_core(x, o_u, g)
+    x, delta, _ = _risk_inputs(training, target, transfer)
+    _, w, y = _risk_core(x, delta)
     d_re, d_im = _risk_blocks(x, w, y)
     return np.concatenate([d_re.ravel(), d_im.ravel()])
 
@@ -331,9 +339,9 @@ def swap_test_risk(training: TrainingSet, target, transfer, model: ShotModel) ->
     ``shots -> infinity`` the report converges to the closed-form empirical
     risk.
     """
-    x, o_u, g = _risk_inputs(training, target, transfer)
+    x, delta, g = _risk_inputs(training, target, transfer)
     if not ComplexTransfer(g).is_unitary():
         raise NonUnitaryInput("swap-test risk requires a unitary transfer matrix")
-    _, q = _overlap_exponent(x, o_u - _realify_raw(g))
+    _, q = _overlap_exponent(x, delta)
     terms = 1.0 - swap_test_fidelity_estimate(q, model.shots, as_rng(model.seed))
     return RiskReport(value=float(terms.mean()), per_term=terms, shots=model.shots)

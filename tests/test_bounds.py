@@ -68,6 +68,28 @@ def test_erm1_prime_values():
     assert abs(ll.gap_bound_erm1_prime(ll.BoundParams(2, 7, 2.0, 0.1)) - value) <= math.ulp(value)
 
 
+def test_bound_values_follow_the_theorems():
+    # The displayed bounds, written out again with C1 = 1 / (9 pi^3 ln 2):
+    #   ERM2: sqrt(16 E / (C1 T^3) * (M ln(6 sqrt(C1 M T^3)) + ln(2 / delta) / M))
+    #         + 2 sqrt(E / (C1 M T^3))
+    #   ERM1: sqrt(32 E / T * (M^2 ln(6 sqrt(T)) + ln(2 / delta))) + 2 sqrt(E / T)
+    c1 = 1.0 / (9.0 * math.pi**3 * math.log(2.0))
+
+    def erm2(m, t, e, delta):
+        cube = c1 * t**3
+        spread = m * math.log(6.0 * math.sqrt(m * cube)) + math.log(2.0 / delta) / m
+        return math.sqrt(16.0 * e / cube * spread) + 2.0 * math.sqrt(e / (m * cube))
+
+    def erm1(m, t, e, delta):
+        spread = m * m * math.log(6.0 * math.sqrt(t)) + math.log(2.0 / delta)
+        return math.sqrt(32.0 * e / t * spread) + 2.0 * math.sqrt(e / t)
+
+    for args in ((2, 8, 1.0, 0.1), (4, 32, 16.0, 0.01)):
+        assert ll.gap_bound_erm2(ll.BoundParams(*args)) == pytest.approx(erm2(*args), rel=1e-12), args
+    for args in ((2, 8, 1.0, 0.1), (8, 64, 4.0, 0.05)):
+        assert ll.gap_bound_erm1(ll.BoundParams(*args)) == pytest.approx(erm1(*args), rel=1e-12), args
+
+
 def test_erm2_beats_erm1_beyond_crossover():
     # The concentration constant 1/C1 makes the parent-sphere bound larger at
     # small sizes; the cubic denominator wins from a modest size onward.

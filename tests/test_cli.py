@@ -14,6 +14,7 @@ import linoptlearn as ll
 from linoptlearn import cli
 from linoptlearn.core import as_rng
 from linoptlearn.errors import InvalidParameter, SingularMatrix
+from linoptlearn.optimize import polish_blas_threads
 
 
 ERM_INI = """
@@ -164,6 +165,7 @@ def test_cmd_erm_csv_and_determinism(tmp_path):
     assert rows[0]["converged"] in {"true", "false"}
     meta = json.load(open(out1 + ".meta.json"))
     assert meta["command"] == "erm" and meta["version"] == ll.__version__
+    assert meta["polish_blas_threads"] == polish_blas_threads() and meta["polish_blas_threads"] in (1, None)
 
 
 @pytest.mark.parametrize("command,text", [("erm", ERM_INI), ("junta", JUNTA_INI)], ids=["erm", "junta"])

@@ -80,6 +80,41 @@ def test_energy_ledger_bound():
     assert report.energy_spent <= budget + 1e-9
 
 
+def _ledger(report, policy):
+    return sum(record.family_size * policy.stage_energy(record.stage) for record in report.stages)
+
+
+def test_energy_ledger_charges_every_candidate():
+    spec, target = ll.random_junta(4, 3, seed=25, junta_modes=(1, 2, 4))
+    policy = StagePolicy(min_training_size=3, energy_scale=2.0, optim=FAST_OPTIM)
+    report = learn_junta(target, policy, seed=26)
+    assert [record.family_size for record in report.stages][:2] == [6, 2]
+    assert report.energy_spent == _ledger(report, policy)
+
+
+def test_energy_ledger_charges_the_refit(monkeypatch):
+    # Every fit returns a tie below the full support, so stage 2 selects all
+    # three pairs, the support covers every mode and stage 3 has no
+    # candidate.  The product of identity blocks misses the target, which
+    # forces the direct refit on the full union.
+    fits = []
+
+    def stub(training, target, cfg, modes=None):
+        fits.append(modes)
+        k = len(modes)
+        risk = 0.0 if k == 3 else 0.5
+        return ll.OptimResult(ll.ComplexTransfer(np.eye(k)), risk, 0.0, risk == 0.0, 0, 1, modes)
+
+    monkeypatch.setattr(junta_module, "minimize", stub)
+    target = ll.random_linear_optical(3, seed=27)
+    policy = StagePolicy(energy_scale=2.0, optim=FAST_OPTIM)
+    report = learn_junta(target, policy, seed=28)
+    assert fits == [(1, 2), (1, 3), (2, 3), (1, 2, 3)]
+    assert [record.family_size for record in report.stages] == [3]
+    assert report.energy_spent == _ledger(report, policy) + policy.stage_energy(3)
+    assert report.energy_spent == 3 * 4.0 + 6.0
+
+
 def test_energy_cap_exceeded():
     _, target = ll.random_junta(6, 3, seed=23)
     policy = StagePolicy(energy_cap=1.0, optim=FAST_OPTIM)

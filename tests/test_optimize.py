@@ -1,9 +1,12 @@
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
+import scipy.optimize
 
 import linoptlearn as ll
+import linoptlearn.optimize as optimize_module
 from linoptlearn.core import UNITARITY_TOL, _realify_raw
 from linoptlearn.errors import InvalidParameter, SingularMatrix
 from linoptlearn.optimize import OptimConfig
@@ -138,3 +141,113 @@ def test_result_json():
     result = ll.minimize(training, target, OptimConfig(restarts=1, seed=25, max_iters=50))
     data = result.to_json()
     assert {"transfer", "risk_final", "unitarity_residual", "converged", "iterations_used"} <= set(data)
+
+
+# Fits whose every output bit is pinned: (scheme, M, T, E, target seed,
+# training seed, optimizer seed, restarts, modes) and the literals
+# (risk_final as float.hex, iterations_used, restarts_run, sha256 of the
+# transfer's bytes).  The literals were recorded before the risk kernel was
+# hoisted and the polish pinned to one BLAS thread; both changes keep every
+# floating-point operation, so they must not move a bit.  They hold for the
+# build they were recorded on (numpy 2.4.6 and scipy 1.17.1 wheels, x86-64,
+# OpenBLAS SkylakeX kernels): another BLAS kernel or libm may round
+# differently, and then the literals must be recorded again from a tree
+# known to be right before they can judge a change.
+BIT_IDENTICAL_FITS = {
+    # ERM1 that stops in Adam and bisects into [0.6, 1) * stop_risk.
+    "erm1-stop-bisect": (
+        ("ERM1", 3, 3, 1.0, 1, 2, 3, 4, None),
+        ("0x1.a2b0acc555555p-24", 2125, 1, "01918989ce9469bb82c98b82b647052b815e521f781227b5ce7469aa0fc972ad"),
+    ),
+    # ERM1 M=4 T=8 E=16: Adam plateaus, the polish reaches the stop level.
+    "erm1-polish-stops": (
+        ("ERM1", 4, 8, 16.0, 101, 201, 301, 2, None),
+        ("0x1.38c1e47b00000p-24", 887, 1, "3888f5e3440791e1de6a4793b460b6aeac913720bfce9529f1f711c884e1361e"),
+    ),
+    # ERM1 M=4 T=8 E=16: both restarts polish to the end without converging.
+    "erm1-polish-runs-out": (
+        ("ERM1", 4, 8, 16.0, 100, 200, 300, 2, None),
+        ("0x1.bfffffff6a3c6p-1", 878, 2, "7959a65737c1be0da9e5b5e9a079da7c687f4e6eaf0cf5595cff3900dc83b74d"),
+    ),
+    "erm2-m8-t16-e4": (
+        ("ERM2", 8, 16, 4.0, 7, 8, 9, 2, None),
+        ("0x1.5afdfeb300000p-24", 3658, 1, "8819181d4102afdc1e1323f750e31c42de91fb5ba759b911bf1b968c609f44cc"),
+    ),
+    # A subset fit on an M=8 junta target, as the staged search runs them.
+    "subset-2-5-m8": (
+        ("ERM2", 8, 4, 4.0, 10, 11, 12, 2, (2, 5)),
+        ("0x1.13cdec4a00000p-24", 375, 1, "b2f7161c134527b3de7a555459cd31e4077d2e16aebf26f1c1f304e0d4942071"),
+    ),
+}
+
+
+def _pinned_fit(name):
+    scheme, modes, size, energy, target_seed, training_seed, seed, restarts, subset = BIT_IDENTICAL_FITS[name][0]
+    if subset is None:
+        target = ll.random_linear_optical(modes, seed=target_seed)
+    else:
+        _, target = ll.random_junta(modes, len(subset), seed=target_seed, junta_modes=subset)
+    training = ll.sample_training_set(scheme, modes, size, energy, seed=training_seed)
+    return ll.minimize(training, target, OptimConfig(restarts=restarts, seed=seed), modes=subset)
+
+
+def _fingerprint(result):
+    digest = hashlib.sha256(result.transfer.entries.tobytes()).hexdigest()
+    return (float.hex(result.risk_final), result.iterations_used, result.restarts_run, digest)
+
+
+@pytest.mark.parametrize("name", sorted(BIT_IDENTICAL_FITS))
+def test_fits_are_bit_identical(name):
+    assert _fingerprint(_pinned_fit(name)) == BIT_IDENTICAL_FITS[name][1]
+
+
+@pytest.fixture
+def scipy_blas():
+    """scipy's OpenBLAS, set to two threads so a scope that forgets to restore shows."""
+    lib = optimize_module._scipy_blas()
+    if lib is None:
+        pytest.skip("scipy's bundled OpenBLAS is not present")
+    before = lib.scipy_openblas_get_num_threads()
+    lib.scipy_openblas_set_num_threads(2)
+    yield lib
+    lib.scipy_openblas_set_num_threads(before)
+
+
+def _polish_spy(monkeypatch, lib, seen, replace_objective=None):
+    """Record scipy's BLAS thread count inside every polish."""
+    real = scipy.optimize.minimize
+
+    def spy(fun, x0, **kwargs):
+        seen.append(lib.scipy_openblas_get_num_threads())
+        return real(replace_objective or fun, x0, **kwargs)
+
+    monkeypatch.setattr(scipy.optimize, "minimize", spy)
+
+
+@pytest.mark.parametrize("name", ["erm1-polish-runs-out", "erm1-polish-stops"])
+def test_polish_runs_on_one_blas_thread_and_restores_the_count(monkeypatch, scipy_blas, name):
+    seen = []
+    _polish_spy(monkeypatch, scipy_blas, seen)
+    result = _pinned_fit(name)  # runs to the end, or leaves by _StopPolish
+    assert seen and set(seen) == {1}
+    assert scipy_blas.scipy_openblas_get_num_threads() == 2
+    assert _fingerprint(result) == BIT_IDENTICAL_FITS[name][1]
+
+
+def test_blas_count_restored_when_the_objective_raises(monkeypatch, scipy_blas):
+    def broken(theta):
+        raise FloatingPointError("objective failed")
+
+    seen = []
+    _polish_spy(monkeypatch, scipy_blas, seen, replace_objective=broken)
+    with pytest.raises(FloatingPointError):
+        _pinned_fit("erm1-polish-runs-out")
+    assert seen == [1]
+    assert scipy_blas.scipy_openblas_get_num_threads() == 2
+
+
+def test_fit_without_scipy_blas_is_unchanged(monkeypatch):
+    monkeypatch.setattr(optimize_module, "_scipy_blas", lambda: None)
+    assert optimize_module.polish_blas_threads() is None
+    name = "erm1-polish-runs-out"
+    assert _fingerprint(_pinned_fit(name)) == BIT_IDENTICAL_FITS[name][1]

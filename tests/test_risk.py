@@ -12,7 +12,7 @@ import linoptlearn.risk as risk_module
 from linoptlearn import cli
 from linoptlearn.core import _realify_raw, substream
 from linoptlearn.errors import ConvergenceWarning, DimensionMismatch, InvalidParameter, NonUnitaryInput
-from linoptlearn.risk import TAIL_WARN, ShotModel
+from linoptlearn.risk import TAIL_WARN, ShotModel, _embed_complex
 
 
 _seeds = st.integers(0, 2**32 - 1)
@@ -369,3 +369,42 @@ def test_series_invariants_symmetry_and_scheme_reductions(pair, energy, scheme, 
     erm1_scaled = _quiet_series(a, b, energy / size)
     if erm1p is not None and erm1_scaled is not None:
         assert erm1p.value == erm1_scaled.value
+
+
+# Finite doubles of either sign, zeros of both signs among them.
+_entries = st.floats(allow_nan=False, allow_infinity=False, width=64) | st.sampled_from([0.0, -0.0])
+
+
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    """Equal element for element, the sign of every zero included."""
+    return a.dtype == b.dtype and np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), rows=st.integers(1, 6), cols=st.integers(1, 6))
+def test_realify_fills_the_blocks_of_np_block(data, rows, cols):
+    values = data.draw(st.lists(_entries, min_size=2 * rows * cols, max_size=2 * rows * cols))
+    parts = np.asarray(values).reshape(2, rows, cols)
+    g = np.empty((rows, cols), dtype=complex)
+    g.real, g.imag = parts  # set directly: arithmetic like a + 1j * b can flip the sign of a zero
+    re, im = g.real, g.imag
+    assert _same_bits(_realify_raw(g), np.block([[re, im], [-im, re]]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), modes=st.integers(1, 6), seed=_seeds)
+def test_hoisted_subset_difference_is_exact(data, modes, seed):
+    order = data.draw(st.permutations(range(1, modes + 1)))
+    subset = tuple(order[: data.draw(st.integers(1, modes))])
+    rng = np.random.default_rng(seed)
+    o_u = rng.standard_normal((2 * modes, 2 * modes))
+    training = ll.sample_training_set("ERM2", modes, 2, 1.0, seed=seed)
+    problem = optimize_module._Problem(training, o_u, subset)
+    k = len(subset)
+    for _ in range(2):  # the second call rewrites the buffer the first one filled
+        g = rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
+        expected = o_u - _realify_raw(_embed_complex(g, subset, modes))
+        assert _same_bits(problem.difference(g), expected)
+    full = optimize_module._Problem(training, o_u)
+    g = rng.standard_normal((modes, modes)) + 1j * rng.standard_normal((modes, modes))
+    assert _same_bits(full.difference(g), o_u - _realify_raw(g))
