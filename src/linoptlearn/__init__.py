@@ -14,6 +14,7 @@ from .core import (
     complexify,
     embed_junta,
     fidelity,
+    from_json,
     frobenius_distance_squared,
     haar_unitary,
     random_junta,
@@ -21,6 +22,7 @@ from .core import (
     realify,
     spectral_distance,
     symplectic_form,
+    to_json,
 )
 from .training import Scheme, TrainingSet, marginal_density, sample_sphere, sample_training_set
 from .risk import (
@@ -33,7 +35,7 @@ from .risk import (
     series_full_risk,
     swap_test_risk,
 )
-from .optimize import OptimConfig, OptimResult, minimize, polar_project, trajectory_csv
+from .optimize import OptimConfig, OptimResult, minimize, polar_project
 from .junta import JuntaReport, StagePolicy, identify_junta, learn_junta
 from .bounds import (
     C1,
@@ -75,6 +77,7 @@ __all__ = [
     "empirical_risk_gradient",
     "fidelity",
     "fock_space",
+    "from_json",
     "frobenius_distance_squared",
     "full_risk_mc",
     "gap_bound",
@@ -101,5 +104,5 @@ __all__ = [
     "spectral_distance",
     "swap_test_risk",
     "symplectic_form",
-    "trajectory_csv",
+    "to_json",
 ]

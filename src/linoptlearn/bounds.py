@@ -240,19 +240,6 @@ class BoundReport:
     def median_gap(self) -> float:
         return float(np.median(self.empirical_gaps)) if self.empirical_gaps else math.nan
 
-    def to_json(self) -> dict:
-        return {
-            "scheme": self.scheme.value,
-            "M": self.modes,
-            "T": self.size,
-            "E": self.energy,
-            "delta": self.delta,
-            "bound": self.bound_value,
-            "gaps": list(self.empirical_gaps),
-            "violation_fraction": self.violation_fraction,
-            "failures": self.failures,
-        }
-
 
 def generalization_experiment(
     scheme,

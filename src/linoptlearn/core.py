@@ -14,7 +14,11 @@ All operations here are pure; random sampling takes an explicit seed or
 
 from __future__ import annotations
 
+import dataclasses
+import enum
 import functools
+import types
+import typing
 from dataclasses import InitVar, dataclass
 from typing import Sequence
 
@@ -136,14 +140,6 @@ class SymplecticOrthogonal:
     def inverse(self) -> "SymplecticOrthogonal":
         return SymplecticOrthogonal(self.entries.T)
 
-    def to_json(self) -> list:
-        """Row-major nested list of doubles."""
-        return self.entries.tolist()
-
-    @classmethod
-    def from_json(cls, data: list) -> "SymplecticOrthogonal":
-        return cls(np.asarray(data, dtype=float))
-
 
 @dataclass(frozen=True, eq=False)
 class ComplexTransfer:
@@ -174,13 +170,6 @@ class ComplexTransfer:
     def is_unitary(self) -> bool:
         return self.unitarity_residual() <= UNITARITY_TOL
 
-    def to_json(self) -> dict:
-        return {"re": self.entries.real.tolist(), "im": self.entries.imag.tolist()}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "ComplexTransfer":
-        return cls(np.asarray(data["re"], dtype=float) + 1j * np.asarray(data["im"], dtype=float))
-
 
 @dataclass(frozen=True, eq=False)
 class JuntaSpec:
@@ -207,17 +196,6 @@ class JuntaSpec:
                 f"inner matrix acts on {self.inner.mode_count} modes, expected {len(modes)}"
             )
         object.__setattr__(self, "junta_modes", modes)
-
-    def to_json(self) -> dict:
-        return {
-            "M": self.mode_count,
-            "J": list(self.junta_modes),
-            "inner": self.inner.to_json(),
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "JuntaSpec":
-        return cls(int(data["M"]), tuple(data["J"]), SymplecticOrthogonal.from_json(data["inner"]))
 
 
 @functools.lru_cache(maxsize=32)
@@ -381,3 +359,53 @@ def spectral_distance(a, b) -> float:
     """Spectral-norm distance ||A - B||; the norm entering Lipschitz bounds."""
     d = _matrix(a) - _matrix(b)
     return float(np.linalg.norm(d, 2))
+
+
+def to_json(record):
+    """JSON-ready value of a record, walking its dataclass fields.
+
+    Keys are field names (an ``InitVar`` is not a field).  Real arrays become
+    row-major nested lists, complex arrays ``{"re", "im"}`` pairs of them,
+    enums their value and tuples lists; nested records recurse.
+    """
+    if dataclasses.is_dataclass(record):
+        return {f.name: to_json(getattr(record, f.name)) for f in dataclasses.fields(record)}
+    if isinstance(record, np.ndarray):
+        if np.iscomplexobj(record):
+            return {"re": record.real.tolist(), "im": record.imag.tolist()}
+        return record.tolist()
+    if isinstance(record, enum.Enum):
+        return record.value
+    if isinstance(record, (tuple, list)):
+        return [to_json(item) for item in record]
+    return record.item() if isinstance(record, np.generic) else record
+
+
+def from_json(cls, data: dict):
+    """The record of type ``cls`` that ``to_json`` encoded as ``data``.
+
+    Each field is decoded by its type hint, as ``cli.config_from_ini`` decodes
+    INI text; the record's own validation then runs as on any construction.
+    """
+    kinds = typing.get_type_hints(cls)
+    return cls(**{f.name: _decode(kinds[f.name], data[f.name]) for f in dataclasses.fields(cls)})
+
+
+def _decode(kind, value):
+    """Value of field type ``kind`` from its JSON form; untyped lists become tuples."""
+    if value is None:
+        return None
+    if typing.get_origin(kind) in (typing.Union, types.UnionType):
+        kind = next(arg for arg in typing.get_args(kind) if arg is not type(None))
+    if kind is np.ndarray:
+        if not isinstance(value, dict):
+            return np.asarray(value, dtype=float)
+        z = np.empty(np.shape(value["re"]), dtype=complex)
+        z.real, z.imag = value["re"], value["im"]
+        return z
+    if dataclasses.is_dataclass(kind):
+        return from_json(kind, value)
+    if isinstance(value, list):
+        args = typing.get_args(kind)
+        return tuple(_decode(args[0] if args else None, item) for item in value)
+    return value if kind is None else kind(value)

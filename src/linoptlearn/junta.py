@@ -81,38 +81,17 @@ class StageRecord:
     training_size: int
     energy: float
 
-    def to_json(self) -> dict:
-        return {
-            "stage": self.stage,
-            "family_size": self.family_size,
-            "minimum": self.minimum,
-            "selected": [list(s) for s in self.selected],
-            "candidates": [[list(c), r] for c, r in self.candidates],
-            "training_size": self.training_size,
-            "energy": self.energy,
-        }
-
 
 @dataclass(frozen=True, eq=False)
 class JuntaReport:
     """Outcome of the staged search."""
 
     junta_modes: tuple
-    stages: tuple
+    stages: tuple[StageRecord, ...]
     learned: ComplexTransfer
     final_risk: float
     energy_spent: float
     terminated_stage: int
-
-    def to_json(self) -> dict:
-        return {
-            "junta_modes": list(self.junta_modes),
-            "stages": [record.to_json() for record in self.stages],
-            "learned": self.learned.to_json(),
-            "final_risk": self.final_risk,
-            "energy_spent": self.energy_spent,
-            "terminated_stage": self.terminated_stage,
-        }
 
 
 def _compose_selected(selected_results, junta: tuple, mode_count: int) -> np.ndarray:

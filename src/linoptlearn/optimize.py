@@ -3,15 +3,19 @@
 The objective is ``risk(G) + PENALTY_WEIGHT * ||G^dag G - I||_F^2`` over the
 real and imaginary parts of G, descended with adaptive per-coordinate steps
 (Adam) under a geometric learning-rate decay, from random near-unitary
-starts.  Runs that stall are handed to a quasi-Newton polish so that exact
-zeros of the risk are resolved well below the reporting thresholds.  A fit
-converges when its projected risk is below ``SUCCESS_RISK`` and its raw
-unitarity residual at most ``core.UNITARITY_TOL``.
+starts.  Every run that has not stopped when Adam ends (on a plateau or at
+``max_iters``) is handed to an L-BFGS-B polish, so that exact zeros of the
+risk are resolved well below the reporting thresholds.  A fit converges when
+its projected risk is below ``SUCCESS_RISK`` and its raw unitarity residual
+at most ``core.UNITARITY_TOL``.
 
-Candidate iterates are snapshotted on a fixed stride; each snapshot is scored
-by the risk of its polar projection onto the unitary manifold, and the best
-snapshot wins.  The reported ``risk_final`` therefore never exceeds the risk
-at any logged trajectory point.
+Iterates are snapshotted at the start, every ``eval_stride`` Adam steps, when
+Adam ends and at every polish step; each snapshot is scored by the risk of
+its polar projection onto the unitary manifold.  A run stops at the first
+snapshot within the unitarity gate below ``stop_risk``, moved back by
+bisection to just under that level.  The best snapshot wins, ranked by the
+gate first and the risk second, so ``risk_final`` never exceeds the risk of
+any recorded snapshot within the gate.
 """
 
 from __future__ import annotations
@@ -66,7 +70,6 @@ class OptimConfig:
     stop_risk: float | None = None
     plateau_window: int = 800
     eval_stride: int = 25
-    track_trajectory: bool = False
     seed: int | tuple | None = None
 
     unitarity_threshold: ClassVar[float] = UNITARITY_TOL  # not a field
@@ -87,30 +90,6 @@ class OptimResult:
     iterations_used: int
     restarts_run: int
     modes: tuple | None = None
-    trajectory: tuple | None = None
-
-    def to_json(self) -> dict:
-        data = {
-            "transfer": self.transfer.to_json(),
-            "risk_final": self.risk_final,
-            "unitarity_residual": self.unitarity_residual,
-            "converged": self.converged,
-            "iterations_used": self.iterations_used,
-            "restarts_run": self.restarts_run,
-        }
-        if self.modes is not None:
-            data["modes"] = list(self.modes)
-        if self.trajectory is not None:
-            data["trajectory"] = [list(row) for row in self.trajectory]
-        return data
-
-
-def trajectory_csv(result: OptimResult) -> str:
-    """Render a result's trajectory as ``iter,risk,residual`` CSV text."""
-    lines = ["iter,risk,residual"]
-    for it, risk, residual in result.trajectory or ():
-        lines.append(f"{it},{risk!r},{residual!r}")
-    return "\n".join(lines) + "\n"
 
 
 def polar_project(transfer) -> ComplexTransfer:
@@ -156,8 +135,8 @@ class _Problem:
         if self.modes is not None:
             if not self.modes:
                 raise InvalidParameter("modes subset must be nonempty")
-            if any(not 1 <= j <= m for j in self.modes):
-                raise InvalidParameter(f"modes must lie in 1..{m}")
+            if len(set(self.modes)) != len(self.modes) or any(not 1 <= j <= m for j in self.modes):
+                raise InvalidParameter(f"modes must be distinct and lie in 1..{m}")
             idx = np.asarray([j - 1 for j in self.modes], dtype=int)
             quadratures = np.concatenate([idx, m + idx])
             self._sub = np.ix_(idx, idx)  # the subset's block of the full gradient
@@ -281,21 +260,12 @@ def _one_blas_thread():
 
 def _run_restart(problem: _Problem, theta0: np.ndarray, cfg: OptimConfig, stop_risk: float):
     best = None  # (ranking key, risk, residual, projected)
-    trajectory = [] if cfg.track_trajectory else None
     stopped = False
     iters_done = 0
     theta_above = None  # last snapshotted iterate with risk >= stop_risk
 
-    def record(it, risk, residual, projected):
-        nonlocal best
-        if trajectory is not None:
-            trajectory.append((it, risk, residual))
-        key = (residual > UNITARITY_TOL, risk, residual)
-        if best is None or key < best[0]:
-            best = (key, risk, residual, projected)
-
-    def consider(it, theta):
-        nonlocal stopped, theta_above
+    def consider(theta):
+        nonlocal best, stopped, theta_above
         snap = _snapshot(problem, theta)
         if snap is None:
             return
@@ -308,10 +278,12 @@ def _run_restart(problem: _Problem, theta0: np.ndarray, cfg: OptimConfig, stop_r
             stopped = True
         else:
             theta_above = theta.copy()
-        record(it, risk, residual, projected)
+        key = (residual > UNITARITY_TOL, risk, residual)
+        if best is None or key < best[0]:
+            best = (key, risk, residual, projected)
 
     theta = theta0.copy()
-    consider(0, theta)
+    consider(theta)
     if not stopped and cfg.max_iters > 0:
         m = np.zeros_like(theta)
         v = np.zeros_like(theta)
@@ -343,19 +315,19 @@ def _run_restart(problem: _Problem, theta0: np.ndarray, cfg: OptimConfig, stop_r
             lr *= LR_DECAY
             iters_done = it
             if it % cfg.eval_stride == 0:
-                consider(it, theta)
+                consider(theta)
                 if stopped:
                     break
             if f_best < 1e-15 or (it - last_improve) > cfg.plateau_window:
-                consider(it, theta)
+                consider(theta)
                 break
         if not stopped:
             theta = theta_best
-            consider(iters_done, theta)
+            consider(theta)
     if not stopped:
 
         def callback(xk):
-            consider(iters_done, np.asarray(xk, dtype=float))
+            consider(np.asarray(xk, dtype=float))
             if stopped:
                 raise _StopPolish
 
@@ -369,10 +341,10 @@ def _run_restart(problem: _Problem, theta0: np.ndarray, cfg: OptimConfig, stop_r
                     callback=callback,
                     options={"maxiter": POLISH_ITERS, "ftol": 1e-20, "gtol": 1e-14},
                 )
-            consider(iters_done, res.x)
+            consider(res.x)
         except _StopPolish:
             pass
-    return best, iters_done, trajectory
+    return best, iters_done
 
 
 def minimize(training: TrainingSet, target, config: OptimConfig | None = None, modes=None, initial=None) -> OptimResult:
@@ -390,7 +362,6 @@ def minimize(training: TrainingSet, target, config: OptimConfig | None = None, m
 
     best = None
     best_iters = 0
-    best_traj = None
     restarts_run = 0
     converged = False
     for r in range(cfg.restarts):
@@ -405,12 +376,11 @@ def minimize(training: TrainingSet, target, config: OptimConfig | None = None, m
                 rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
             ) / np.sqrt(2.0)
             theta0 = _matrix_to_theta(haar_unitary(k, rng) + noise)
-        candidate, iters_done, trajectory = _run_restart(problem, theta0, cfg, stop_risk)
+        candidate, iters_done = _run_restart(problem, theta0, cfg, stop_risk)
         restarts_run += 1
         if candidate is not None and (best is None or candidate[0] < best[0]):
             best = candidate
             best_iters = iters_done
-            best_traj = trajectory
         if best is not None:
             _, risk, residual, _ = best
             converged = risk < SUCCESS_RISK and residual <= UNITARITY_TOL
@@ -427,5 +397,4 @@ def minimize(training: TrainingSet, target, config: OptimConfig | None = None, m
         iterations_used=best_iters,
         restarts_run=restarts_run,
         modes=problem.modes,
-        trajectory=tuple(best_traj) if best_traj is not None else None,
     )

@@ -50,12 +50,6 @@ class RiskReport:
         per_term = np.asarray(self.per_term, dtype=float)
         object.__setattr__(self, "per_term", per_term)
 
-    def to_json(self) -> dict:
-        data = {"value": self.value, "per_term": self.per_term.tolist()}
-        if self.shots is not None:
-            data["shots"] = self.shots
-        return data
-
 
 @dataclass(frozen=True, eq=False)
 class SeriesResult:

@@ -114,26 +114,6 @@ class TrainingSet:
     def state_energies(self) -> np.ndarray:
         return np.sum(self.states**2, axis=1) / 2.0
 
-    def to_json(self) -> dict:
-        return {
-            "scheme": self.scheme.value,
-            "M": self.modes,
-            "T": self.size,
-            "E": self.energy,
-            "seed": self.seed,
-            "states": self.states.tolist(),
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "TrainingSet":
-        return cls(
-            scheme=Scheme.coerce(data["scheme"]),
-            modes=int(data["M"]),
-            energy=float(data["E"]),
-            states=np.asarray(data["states"], dtype=float),
-            seed=data.get("seed"),
-        )
-
 
 def sample_training_set(scheme, modes: int, count: int, energy: float, seed=None) -> TrainingSet:
     """Draw a training set of ``count`` states on ``modes`` modes.

@@ -202,9 +202,29 @@ def test_generalization_experiment_smoke():
         assert report.failures + len(report.empirical_gaps) == 3
         assert report.violation_fraction == 0.0
         assert all(g >= 0 for g in report.empirical_gaps)
-        data = report.to_json()
+        data = ll.to_json(report)
         assert data["scheme"] == "ERM2"
-        assert data["T"] == report.size
+        assert data["size"] == report.size
+
+
+def test_generalization_experiment_reports_a_violation(monkeypatch):
+    # With the bound at 0.75 times the smallest measured gap, every gap
+    # exceeds it by far more than the 3-sigma margin of the exact series.
+    def run():
+        return ll.generalization_experiment(
+            "ERM2", 2, 1.0, (2,), 0.1, 3, seed=5,
+            optim=OptimConfig(restarts=2, max_iters=1500, eval_stride=5),
+        )
+
+    (clean,) = run()
+    assert clean.violation_fraction == 0.0
+    assert len(clean.empirical_gaps) == 3
+    smallest = min(clean.empirical_gaps)
+    assert smallest > 0.0
+    monkeypatch.setattr(bounds_module, "gap_bound", lambda scheme, params: 0.75 * smallest)
+    (report,) = run()
+    assert report.empirical_gaps == clean.empirical_gaps
+    assert report.violation_fraction == 1.0
 
 
 def test_gap_bound_dispatch():

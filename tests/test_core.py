@@ -1,9 +1,14 @@
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import linoptlearn as ll
+from linoptlearn.junta import StageRecord
 from linoptlearn.errors import (
     DimensionMismatch,
     InvalidParameter,
@@ -191,9 +196,95 @@ def test_symplectic_orthogonal_rejects_plain_orthogonal():
 @given(st.integers(min_value=1, max_value=5), st.integers(min_value=0, max_value=2**31 - 1))
 def test_serialization_roundtrips(modes, seed):
     o = ll.random_linear_optical(modes, seed)
-    assert np.array_equal(ll.SymplecticOrthogonal.from_json(o.to_json()).entries, o.entries)
+    assert np.array_equal(ll.from_json(ll.SymplecticOrthogonal, ll.to_json(o)).entries, o.entries)
     g = ll.complexify(o)
-    assert np.array_equal(ll.ComplexTransfer.from_json(g.to_json()).entries, g.entries)
+    assert np.array_equal(ll.from_json(ll.ComplexTransfer, ll.to_json(g)).entries, g.entries)
+
+
+FLOATS = st.floats(allow_nan=False, allow_infinity=False)
+COUNTS = st.integers(min_value=0, max_value=2**40)
+MODE_TUPLES = st.lists(st.integers(min_value=1, max_value=9), max_size=4).map(tuple)
+
+
+def _complex_transfer(draw):
+    size = draw(st.integers(min_value=1, max_value=3))
+    numbers = st.complex_numbers(allow_nan=False, allow_infinity=False)
+    return ll.ComplexTransfer(draw(hnp.arrays(complex, (size, size), elements=numbers)))
+
+
+def _stage_record(draw):
+    return StageRecord(
+        stage=draw(COUNTS),
+        family_size=draw(COUNTS),
+        minimum=draw(FLOATS),
+        selected=draw(st.lists(MODE_TUPLES, max_size=3).map(tuple)),
+        candidates=draw(st.lists(st.tuples(MODE_TUPLES, FLOATS), max_size=3).map(tuple)),
+        training_size=draw(COUNTS),
+        energy=draw(FLOATS),
+    )
+
+
+# One builder per record type, each drawing a valid instance.
+RECORD_BUILDERS = {
+    "SymplecticOrthogonal": lambda draw: ll.random_linear_optical(draw(st.integers(1, 4)), draw(SEEDS)),
+    "ComplexTransfer": _complex_transfer,
+    "JuntaSpec": lambda draw: ll.random_junta(draw(st.integers(2, 5)), draw(st.integers(1, 2)), draw(SEEDS))[0],
+    "TrainingSet": lambda draw: ll.sample_training_set(
+        draw(st.sampled_from(list(ll.Scheme))),
+        draw(st.integers(1, 3)),
+        draw(st.integers(1, 4)),
+        draw(st.floats(min_value=0.0, max_value=16.0)),
+        seed=draw(st.none() | SEEDS),
+    ),
+    "RiskReport": lambda draw: ll.RiskReport(
+        draw(FLOATS), draw(hnp.arrays(float, st.integers(0, 4), elements=FLOATS)), draw(st.none() | COUNTS)
+    ),
+    "OptimResult": lambda draw: ll.OptimResult(
+        _complex_transfer(draw), draw(FLOATS), draw(FLOATS), draw(st.booleans()),
+        draw(COUNTS), draw(COUNTS), draw(st.none() | MODE_TUPLES),
+    ),
+    "StageRecord": _stage_record,
+    "JuntaReport": lambda draw: ll.JuntaReport(
+        draw(MODE_TUPLES), tuple(_stage_record(draw) for _ in range(draw(st.integers(0, 2)))),
+        _complex_transfer(draw), draw(FLOATS), draw(FLOATS), draw(COUNTS),
+    ),
+    "BoundReport": lambda draw: ll.BoundReport(
+        draw(st.sampled_from(list(ll.Scheme))), draw(COUNTS), draw(COUNTS), draw(FLOATS), draw(FLOATS),
+        draw(FLOATS), draw(st.lists(FLOATS, max_size=4).map(tuple)), draw(FLOATS), draw(COUNTS),
+    ),
+}
+
+
+def _types(value):
+    """The tree of Python types in a decoded value, through records and tuples."""
+    if dataclasses.is_dataclass(value):
+        return type(value), [_types(getattr(value, f.name)) for f in dataclasses.fields(value)]
+    if isinstance(value, tuple):
+        return tuple, [_types(item) for item in value]
+    if isinstance(value, np.ndarray):
+        return np.ndarray, value.dtype, value.shape
+    return type(value)
+
+
+@pytest.mark.parametrize("name", sorted(RECORD_BUILDERS))
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_codec_roundtrips_every_record(name, data):
+    record = RECORD_BUILDERS[name](data.draw)
+    text = json.dumps(ll.to_json(record))
+    back = ll.from_json(type(record), json.loads(text))
+    assert type(back).__name__ == name
+    assert json.dumps(ll.to_json(back)) == text
+    assert _types(back) == _types(record)
+
+
+def test_codec_keys_are_field_names():
+    spec, _ = ll.random_junta(4, 2, seed=3)
+    data = ll.to_json(spec)
+    assert list(data) == ["mode_count", "junta_modes", "inner"]
+    assert list(data["inner"]) == ["entries"]
+    assert ll.to_json(ll.complexify(spec.inner))["entries"].keys() == {"re", "im"}
+    assert ll.to_json(ll.Scheme.ERM2) == "ERM2"
 
 
 def test_random_junta_rejects_size_outside_mode_count():
@@ -204,7 +295,7 @@ def test_random_junta_rejects_size_outside_mode_count():
 
 def test_junta_spec_json_roundtrip():
     spec, _ = ll.random_junta(6, 3, seed=2)
-    back = ll.JuntaSpec.from_json(spec.to_json())
+    back = ll.from_json(ll.JuntaSpec, ll.to_json(spec))
     assert back.mode_count == spec.mode_count
     assert back.junta_modes == spec.junta_modes
     assert np.array_equal(back.inner.entries, spec.inner.entries)

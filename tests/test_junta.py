@@ -115,6 +115,21 @@ def test_energy_ledger_charges_the_refit(monkeypatch):
     assert report.energy_spent == 3 * 4.0 + 6.0
 
 
+@pytest.mark.parametrize("apart, selected", [(0.005, ((1, 2), (1, 3))), (0.05, ((1, 2),))])
+def test_stage_selection_ties_within_the_tolerance(monkeypatch, apart, selected):
+    # Stubbed stage-2 risks: (1, 3) lies ``apart`` (relative) above the
+    # minimum at (1, 2), and (2, 3) far off.  The default tie tolerance is 1%.
+    risks = {(1, 2): 1e-11, (1, 3): 1e-11 * (1.0 + apart), (2, 3): 0.5}
+
+    def stub(training, target, cfg, modes=None):
+        return ll.OptimResult(ll.ComplexTransfer(np.eye(2)), risks[modes], 0.0, True, 0, 1, modes)
+
+    monkeypatch.setattr(junta_module, "minimize", stub)
+    report = learn_junta(ll.SymplecticOrthogonal(np.eye(6)), StagePolicy(optim=FAST_OPTIM), seed=29)
+    assert report.terminated_stage == 2
+    assert report.stages[0].selected == selected
+
+
 def test_energy_cap_exceeded():
     _, target = ll.random_junta(6, 3, seed=23)
     policy = StagePolicy(energy_cap=1.0, optim=FAST_OPTIM)
@@ -187,7 +202,7 @@ def test_generator_seed_is_accepted_and_replayable():
 def test_report_json_roundtrip_fields():
     _, target = ll.random_junta(4, 2, seed=31, junta_modes=(2, 3))
     report = learn_junta(target, StagePolicy(energy_scale=2.0, optim=FAST_OPTIM), seed=32)
-    data = report.to_json()
+    data = ll.to_json(report)
     assert set(data) == {
         "junta_modes",
         "stages",

@@ -44,7 +44,7 @@ def test_config_validation():
 def test_config_fields():
     names = [field.name for field in dataclasses.fields(OptimConfig)]
     assert names == [
-        "max_iters", "restarts", "stop_risk", "plateau_window", "eval_stride", "track_trajectory", "seed",
+        "max_iters", "restarts", "stop_risk", "plateau_window", "eval_stride", "seed",
     ]
     assert OptimConfig().unitarity_threshold == UNITARITY_TOL
 
@@ -86,24 +86,50 @@ def test_penalty_consistency_and_projection():
     assert np.linalg.norm(g.conj().T @ g - np.eye(3)) < 1e-12
 
 
-def test_best_so_far_dominates_trajectory():
+def test_best_so_far_dominates_trajectory(monkeypatch):
+    # Every snapshot the fit scores is recorded; with ``stop_risk=0.0`` no run
+    # stops, so none is replaced by a bisected point.
+    scored = []
+    real = optimize_module._snapshot
+
+    def recording(problem, theta):
+        snap = real(problem, theta)
+        if snap is not None:
+            scored.append(snap[:2])
+        return snap
+
+    monkeypatch.setattr(optimize_module, "_snapshot", recording)
     target = ll.random_linear_optical(3, seed=14)
     training = ll.sample_training_set("ERM1", 3, 3, 1.0, seed=15)
-    cfg = OptimConfig(restarts=2, seed=16, track_trajectory=True, stop_risk=0.0, max_iters=600)
+    cfg = OptimConfig(restarts=2, seed=16, stop_risk=0.0, max_iters=600)
     result = ll.minimize(training, target, cfg)
-    assert result.trajectory
-    assert all(result.risk_final <= risk for _, risk, _ in result.trajectory)
+    gated = [risk for risk, residual in scored if residual <= UNITARITY_TOL]
+    assert gated
+    assert all(result.risk_final <= risk for risk in gated)
 
 
-def test_trajectory_csv_format():
+def test_converged_fit_passes_the_unitarity_gate(monkeypatch):
+    # Every snapshot has a risk below SUCCESS_RISK but a residual ten times
+    # the gate: the fit is not unitary, so it has not converged.
+    def off_manifold(problem, theta):
+        return 0.1 * optimize_module.SUCCESS_RISK, 10.0 * UNITARITY_TOL, np.eye(problem.k, dtype=complex)
+
+    monkeypatch.setattr(optimize_module, "_snapshot", off_manifold)
     target = ll.random_linear_optical(2, seed=17)
     training = ll.sample_training_set("ERM1", 2, 2, 1.0, seed=18)
-    cfg = OptimConfig(restarts=1, seed=19, track_trajectory=True, max_iters=100)
-    result = ll.minimize(training, target, cfg)
-    text = ll.trajectory_csv(result)
-    lines = text.strip().split("\n")
-    assert lines[0] == "iter,risk,residual"
-    assert len(lines) == len(result.trajectory) + 1
+    result = ll.minimize(training, target, OptimConfig(restarts=1, seed=19, max_iters=100))
+    assert result.risk_final < optimize_module.SUCCESS_RISK
+    assert result.unitarity_residual == 10.0 * UNITARITY_TOL
+    assert not result.converged
+
+
+def test_repeated_modes_are_rejected():
+    # A repeated mode makes the objective and its gradient disagree; this fit
+    # used to return a 2 x 2 transfer at risk 0.40 without an error.
+    target = ll.random_linear_optical(3, seed=26)
+    training = ll.sample_training_set("ERM2", 3, 4, 1.0, seed=27)
+    with pytest.raises(InvalidParameter, match="distinct"):
+        ll.minimize(training, target, OptimConfig(restarts=1, seed=28), modes=(2, 2))
 
 
 def test_mode_subset_optimization():
@@ -139,7 +165,7 @@ def test_result_json():
     target = ll.random_linear_optical(2, seed=23)
     training = ll.sample_training_set("ERM1", 2, 2, 1.0, seed=24)
     result = ll.minimize(training, target, OptimConfig(restarts=1, seed=25, max_iters=50))
-    data = result.to_json()
+    data = ll.to_json(result)
     assert {"transfer", "risk_final", "unitarity_residual", "converged", "iterations_used"} <= set(data)
 
 

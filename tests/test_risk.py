@@ -253,7 +253,7 @@ def test_risk_report_json():
     training = ll.sample_training_set("ERM1", 2, 3, 1.0, seed=42)
     other = ll.haar_unitary(2, np.random.default_rng(43))
     report = ll.swap_test_risk(training, target, other, ShotModel(shots=100, seed=3))
-    data = report.to_json()
+    data = ll.to_json(report)
     assert set(data) == {"value", "per_term", "shots"}
     assert len(data["per_term"]) == 3
 

@@ -139,7 +139,7 @@ def test_marginal_log_normalization_value():
 def test_training_set_json_roundtrip():
     for scheme in ("ERM1", "ERM1P", "ERM2"):
         ts = ll.sample_training_set(scheme, 2, 3, 1.5, seed=9)
-        back = ll.TrainingSet.from_json(ts.to_json())
+        back = ll.from_json(ll.TrainingSet, ll.to_json(ts))
         assert back.scheme == ts.scheme
         assert back.modes == ts.modes
         assert back.energy == ts.energy
