@@ -19,7 +19,7 @@ import enum
 import functools
 import types
 import typing
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -100,13 +100,16 @@ class SymplecticOrthogonal:
 
     These matrices form the classical action of linear optical unitaries on
     mean vectors.  Construction validates orthogonality, symplecticity and the
-    [[A, B], [-B, A]] block structure to ``tol`` in Frobenius norm.
+    [[A, B], [-B, A]] block structure to ``tol`` in Frobenius norm.  ``tol``
+    is kept as a field, so a decoded record validates as its original did.
     """
 
     entries: np.ndarray
-    tol: InitVar[float] = GROUP_TOL
+    tol: float = GROUP_TOL
 
-    def __post_init__(self, tol):
+    def __post_init__(self):
+        tol = float(self.tol)
+        object.__setattr__(self, "tol", tol)
         m = np.array(self.entries, dtype=float)
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] % 2:
             raise DimensionMismatch(f"expected a 2M x 2M matrix, got shape {m.shape}")
@@ -209,7 +212,7 @@ def _identity(size: int) -> np.ndarray:
 def _unitarity_defect(g: np.ndarray):
     """``(H, ||H||_F^2)`` with ``H = G^dag G - I``: the unitarity residual and its matrix."""
     h = g.conj().T @ g - _identity(g.shape[0])
-    return h, float(np.sum(np.abs(h) ** 2))
+    return h, float((np.abs(h) ** 2).sum())
 
 
 def _realify_raw(g: np.ndarray) -> np.ndarray:
@@ -324,8 +327,8 @@ def _overlap_exponent(x: np.ndarray, delta: np.ndarray):
     """``(y, q)`` with rows ``y = delta x`` and ``q = |y|^2`` over the last axis.
 
     ``x`` stacks mean vectors along its last axis and ``delta = O_U - O_V``.
-    The two output coherent states then overlap as ``exp(-q / 2)``; every
-    risk in the library is built on this one exponent.
+    The two output coherent states then overlap as ``exp(-q / 2)``; the
+    empirical risk forms it on complex amplitudes (``risk._risk_core``).
     """
     y = x @ delta.T
     return y, np.einsum("...i,...i->...", y, y)
@@ -364,9 +367,9 @@ def spectral_distance(a, b) -> float:
 def to_json(record):
     """JSON-ready value of a record, walking its dataclass fields.
 
-    Keys are field names (an ``InitVar`` is not a field).  Real arrays become
-    row-major nested lists, complex arrays ``{"re", "im"}`` pairs of them,
-    enums their value and tuples lists; nested records recurse.
+    Keys are field names.  Real arrays become row-major nested lists, complex
+    arrays ``{"re", "im"}`` pairs of them, enums their value and tuples lists;
+    nested records recurse.
     """
     if dataclasses.is_dataclass(record):
         return {f.name: to_json(getattr(record, f.name)) for f in dataclasses.fields(record)}

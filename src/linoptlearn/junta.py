@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import ComplexTransfer, _child_seed, _matrix, _overlap_exponent, _realify_raw, as_rng, substream
+from .core import ComplexTransfer, _child_seed, _matrix, _overlap_exponent, as_rng, substream
 from .errors import (
     BudgetExceeded,
     DegenerateProbe,
@@ -29,7 +29,7 @@ from .errors import (
     UndeterminedWarning,
 )
 from .optimize import OptimConfig, minimize
-from .risk import _embed_complex, _risk_core, swap_test_fidelity_estimate
+from .risk import _amplitudes, _embed_complex, _risk_core, swap_test_fidelity_estimate
 from .training import Scheme, sample_sphere, sample_training_set
 
 _DEFAULT_STAGE_OPTIM = OptimConfig(
@@ -104,9 +104,8 @@ def _compose_selected(selected_results, junta: tuple, mode_count: int) -> np.nda
 
 
 def _composite_risk(training, target, g_block: np.ndarray, junta: tuple) -> float:
-    o_u = np.asarray(_matrix(target), dtype=float)
-    g_full = _embed_complex(g_block, junta, o_u.shape[0] // 2)
-    terms, _, _ = _risk_core(training.states, o_u - _realify_raw(g_full))
+    a, b, c = _amplitudes(training, target, junta)
+    terms, _, _ = _risk_core(a, b, g_block, c)
     return float(terms.mean())
 
 

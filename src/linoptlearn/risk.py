@@ -2,14 +2,15 @@
 
 For pure coherent states the squared trace distance between target and
 hypothesis outputs reduces to ``1 - exp(-q / 2)`` per training state, with
-``q = |(O_U - O_V) x|^2`` from ``core._overlap_exponent``, the one place that
-exponent is formed.  The empirical risk is the mean of these terms; the full
-risks average the same integrand over the uniform measure on the scheme's
-sphere (``training._sphere``: the single-state sphere for ERM1/ERM1P, the
-parent sphere for ERM2).
+``q = |U alpha - G alpha|^2`` over the M complex amplitudes ``alpha = q - i p``
+of the state, or ``|(O_U - O_V) x|^2`` on its real quadratures.  The empirical
+risk is the mean of these terms, formed by ``_risk_core`` on amplitudes; the
+full risks average the same integrand, from ``core._overlap_exponent``, over
+the uniform measure on the scheme's sphere (``training._sphere``: the
+single-state sphere for ERM1/ERM1P, the parent sphere for ERM2).
 
 The hypothesis matrix need not be unitary: penalty-method optimization
-evaluates the risk off the unitary manifold, using the raw block matrix of G.
+evaluates the risk off the unitary manifold, at the raw complex matrix G.
 
 Monte-Carlo estimators draw ``MC_CHUNK``-sample chunks with per-chunk
 substreams, so a result is deterministic for a given seed; the chunk layout
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ComplexTransfer, _matrix, _overlap_exponent, _realify_raw, as_rng, substream
+from .core import ComplexTransfer, _matrix, _overlap_exponent, as_rng, complexify, substream
 from .errors import ConvergenceWarning, DimensionMismatch, InvalidParameter, NonUnitaryInput
 from .training import Scheme, TrainingSet, _sphere
 
@@ -72,23 +73,47 @@ class ShotModel:
             raise InvalidParameter("shots must be >= 1")
 
 
-def _risk_inputs(training: TrainingSet, target, transfer):
-    """``(x, delta, G)`` of a risk evaluation, with their shapes checked.
+def _sq_rows(z: np.ndarray) -> np.ndarray:
+    """``|z_t|^2`` of each row of a C-contiguous complex array."""
+    parts = z.view(float)
+    return np.einsum("ij,ij->i", parts, parts)
 
-    ``delta = O_U - _realify_raw(G)`` is the argument of ``_risk_core``.
+
+def _amplitudes(training: TrainingSet, target, modes=None):
+    """``(a, b, c)`` of ``_risk_core`` for ``target`` on an optional mode subset.
+
+    With ``alpha = q - i p`` for each state and ``beta = alpha U^T`` its image
+    under the target, ``a`` and ``b`` are their columns on the 1-based
+    ``modes`` (all modes when ``None``) and ``c`` is the fixed part of the
+    exponent, ``sum_{j not in modes} |beta_j - alpha_j|^2``, or ``None`` for
+    all modes.  U is ``complexify(target)``: ``MalformedBlocks`` if ``target``
+    is not in [[A, B], [-B, A]] form.
     """
     x = training.states
-    o_u = np.asarray(_matrix(target), dtype=float)
+    u = complexify(target).entries
+    m = u.shape[0]
+    if x.shape[1] != 2 * m:
+        raise DimensionMismatch(f"target acts on {m} modes, the states on {x.shape[1] // 2}")
+    # C-contiguous throughout (take, not [:, idx]): _sq_rows views rows as floats.
+    alpha = np.ascontiguousarray(x[:, :m] - 1j * x[:, m:])
+    beta = alpha @ u.T
+    if modes is None:
+        return alpha, beta, None
+    idx = [j - 1 for j in modes]
+    rest = [j for j in range(m) if j not in idx]
+    a, b = alpha.take(idx, axis=1), beta.take(idx, axis=1)
+    return a, b, _sq_rows(beta.take(rest, axis=1) - alpha.take(rest, axis=1))
+
+
+def _risk_inputs(training: TrainingSet, target, transfer):
+    """``(a, b, G)`` of a full-set risk evaluation, with their shapes checked."""
+    a, b, _ = _amplitudes(training, target)
     g = np.asarray(_matrix(transfer), dtype=complex)
-    if o_u.shape != (x.shape[1], x.shape[1]):
-        raise DimensionMismatch(
-            f"target shape {o_u.shape} does not match {x.shape[1]}-dimensional states"
-        )
     if g.ndim != 2 or g.shape[0] != g.shape[1]:
         raise DimensionMismatch(f"expected a square transfer matrix, got {g.shape}")
-    if 2 * g.shape[0] != o_u.shape[0]:
+    if g.shape[0] != a.shape[1]:
         raise DimensionMismatch("transfer and target mode counts differ")
-    return x, o_u - _realify_raw(g), g
+    return a, b, g
 
 
 def _embed_complex(g: np.ndarray, modes, mode_count: int) -> np.ndarray:
@@ -99,33 +124,29 @@ def _embed_complex(g: np.ndarray, modes, mode_count: int) -> np.ndarray:
     return full
 
 
-def _risk_core(x: np.ndarray, delta: np.ndarray):
+def _risk_core(a: np.ndarray, b: np.ndarray, g: np.ndarray, c=None):
     """Terms of the empirical risk, plus what its gradient needs.
 
-    ``x`` stacks the training states as rows and ``delta = O_U - O_V`` is the
-    real 2M x 2M difference, with ``O_V = _realify_raw(G)`` for the raw
-    hypothesis G.  The caller forms ``delta``: the optimizer keeps the part
-    that does not depend on G and rewrites only the rest per evaluation.
-    Returns ``(terms, w, y)``: the per-state terms ``1 - w`` with overlaps
-    ``w = exp(-q / 2)``, and the rows ``y = delta x``.
+    ``a`` and ``b`` are the T x k input and target-output amplitudes on the
+    fitted modes, G the raw k x k hypothesis there and ``c`` the fixed
+    exponent of the other modes (``_amplitudes``).  Returns ``(terms, w, z)``:
+    the residuals ``z = b - a G^T``, the overlaps ``w = exp(-q / 2)`` with
+    ``q = |z_t|^2 + c_t``, and the per-state terms ``1 - w``.
     """
-    y, q = _overlap_exponent(x, delta)
+    z = b - a @ g.T
+    q = _sq_rows(z)
+    if c is not None:
+        q += c
     w = np.exp(-0.5 * q)
-    return 1.0 - w, w, y
+    return 1.0 - w, w, z
 
 
-def _risk_blocks(x: np.ndarray, w: np.ndarray, y: np.ndarray):
-    """``(d_re, d_im)``: derivatives of the mean risk with respect to Re G and Im G.
+def _risk_gradient(a_conj: np.ndarray, w: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """``-(w z)^T conj(a) / T``: the mean risk's derivatives in Re G (real) and Im G (imaginary).
 
-    ``w`` and ``y`` come from ``_risk_core`` on the same states ``x``.
+    ``w`` and ``z`` come from ``_risk_core`` on the amplitudes ``a``.
     """
-    m = x.shape[1] // 2
-    t = x.shape[0]
-    wy_q = (w[:, None] * y[:, :m]).T
-    wy_p = (w[:, None] * y[:, m:]).T
-    d_re = -(wy_q @ x[:, :m] + wy_p @ x[:, m:]) / t
-    d_im = -(wy_q @ x[:, m:] - wy_p @ x[:, :m]) / t
-    return d_re, d_im
+    return (z.T * w) @ a_conj / -len(w)
 
 
 def empirical_risk(training: TrainingSet, target, transfer) -> RiskReport:
@@ -134,8 +155,7 @@ def empirical_risk(training: TrainingSet, target, transfer) -> RiskReport:
     ``transfer`` may be any complex square matrix; unitarity is the
     optimizer's concern.
     """
-    x, delta, _ = _risk_inputs(training, target, transfer)
-    terms, _, _ = _risk_core(x, delta)
+    terms, _, _ = _risk_core(*_risk_inputs(training, target, transfer))
     return RiskReport(value=float(terms.mean()), per_term=terms)
 
 
@@ -145,10 +165,10 @@ def empirical_risk_gradient(training: TrainingSet, target, transfer) -> np.ndarr
     The 2M^2-vector of derivatives with respect to (Re G, Im G), each block
     flattened row-major.
     """
-    x, delta, _ = _risk_inputs(training, target, transfer)
-    _, w, y = _risk_core(x, delta)
-    d_re, d_im = _risk_blocks(x, w, y)
-    return np.concatenate([d_re.ravel(), d_im.ravel()])
+    a, b, g = _risk_inputs(training, target, transfer)
+    _, w, z = _risk_core(a, b, g)
+    d = _risk_gradient(a.conj(), w, z)
+    return np.concatenate([d.real.ravel(), d.imag.ravel()])
 
 
 def _scheme_sampling(scheme: Scheme, modes: int, count: int, energy: float):
@@ -333,9 +353,9 @@ def swap_test_risk(training: TrainingSet, target, transfer, model: ShotModel) ->
     ``shots -> infinity`` the report converges to the closed-form empirical
     risk.
     """
-    x, delta, g = _risk_inputs(training, target, transfer)
+    a, b, g = _risk_inputs(training, target, transfer)
     if not ComplexTransfer(g).is_unitary():
         raise NonUnitaryInput("swap-test risk requires a unitary transfer matrix")
-    _, q = _overlap_exponent(x, delta)
+    q = _sq_rows(_risk_core(a, b, g)[2])
     terms = 1.0 - swap_test_fidelity_estimate(q, model.shots, as_rng(model.seed))
     return RiskReport(value=float(terms.mean()), per_term=terms, shots=model.shots)

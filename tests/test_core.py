@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import linoptlearn as ll
+from linoptlearn.core import GROUP_TOL
 from linoptlearn.junta import StageRecord
 from linoptlearn.errors import (
     DimensionMismatch,
@@ -201,6 +202,16 @@ def test_serialization_roundtrips(modes, seed):
     assert np.array_equal(ll.from_json(ll.ComplexTransfer, ll.to_json(g)).entries, g.entries)
 
 
+def test_widened_tolerance_survives_the_codec():
+    # realify widens the group tolerance for a transfer that passes the
+    # unitarity gate inexactly (squared residual ~1e-7 here); decoding must
+    # validate at that tolerance, not at GROUP_TOL.
+    o = ll.realify(ll.haar_unitary(3, np.random.default_rng(5)) * (1 + 1e-4))
+    assert o.tol > GROUP_TOL
+    back = ll.from_json(ll.SymplecticOrthogonal, json.loads(json.dumps(ll.to_json(o))))
+    assert np.array_equal(back.entries, o.entries) and back.tol == o.tol
+
+
 FLOATS = st.floats(allow_nan=False, allow_infinity=False)
 COUNTS = st.integers(min_value=0, max_value=2**40)
 MODE_TUPLES = st.lists(st.integers(min_value=1, max_value=9), max_size=4).map(tuple)
@@ -282,7 +293,7 @@ def test_codec_keys_are_field_names():
     spec, _ = ll.random_junta(4, 2, seed=3)
     data = ll.to_json(spec)
     assert list(data) == ["mode_count", "junta_modes", "inner"]
-    assert list(data["inner"]) == ["entries"]
+    assert list(data["inner"]) == ["entries", "tol"]
     assert ll.to_json(ll.complexify(spec.inner))["entries"].keys() == {"re", "im"}
     assert ll.to_json(ll.Scheme.ERM2) == "ERM2"
 

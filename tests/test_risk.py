@@ -11,7 +11,7 @@ import linoptlearn.optimize as optimize_module
 import linoptlearn.risk as risk_module
 from linoptlearn import cli
 from linoptlearn.core import _realify_raw, substream
-from linoptlearn.errors import ConvergenceWarning, DimensionMismatch, InvalidParameter, NonUnitaryInput
+from linoptlearn.errors import ConvergenceWarning, DimensionMismatch, InvalidParameter, MalformedBlocks, NonUnitaryInput
 from linoptlearn.risk import TAIL_WARN, ShotModel, _embed_complex
 
 
@@ -118,8 +118,8 @@ def test_value_only_calls_build_no_gradient(monkeypatch):
     def refuse(*args):
         raise AssertionError("gradient blocks built for a value-only call")
 
-    monkeypatch.setattr(risk_module, "_risk_blocks", refuse)
-    monkeypatch.setattr(optimize_module, "_risk_blocks", refuse)
+    monkeypatch.setattr(risk_module, "_risk_gradient", refuse)
+    monkeypatch.setattr(optimize_module, "_risk_gradient", refuse)
     target = ll.random_linear_optical(3, seed=14)
     training = ll.sample_training_set("ERM2", 3, 4, 1.0, seed=15)
     g = ll.haar_unitary(3, np.random.default_rng(16))
@@ -133,6 +133,14 @@ def test_risk_dimension_mismatch():
     training = ll.sample_training_set("ERM1", 3, 2, 1.0, seed=20)
     with pytest.raises(DimensionMismatch):
         ll.empirical_risk(training, target, np.eye(3, dtype=complex))
+
+
+def test_risk_rejects_a_target_out_of_block_form():
+    training = ll.sample_training_set("ERM1", 2, 3, 1.0, seed=17)
+    skewed = ll.random_linear_optical(2, seed=18).entries.copy()
+    skewed[2, 0] += 1e-3  # breaks [[A, B], [-B, A]]
+    with pytest.raises(MalformedBlocks):
+        ll.empirical_risk(training, skewed, np.eye(2, dtype=complex))
 
 
 def test_full_risk_mc_trivial_and_t1_equivalence():
@@ -391,20 +399,60 @@ def test_realify_fills_the_blocks_of_np_block(data, rows, cols):
     assert _same_bits(_realify_raw(g), np.block([[re, im], [-im, re]]))
 
 
-@settings(max_examples=100, deadline=None)
-@given(data=st.data(), modes=st.integers(1, 6), seed=_seeds)
-def test_hoisted_subset_difference_is_exact(data, modes, seed):
-    order = data.draw(st.permutations(range(1, modes + 1)))
-    subset = tuple(order[: data.draw(st.integers(1, modes))])
+@st.composite
+def _subset_problems(draw):
+    """A training set on M <= 8 modes, a target, a distinct unordered subset or
+    ``None`` (all modes), and a near-unitary G on it."""
+    modes = draw(st.integers(1, 8))
+    seed = draw(_seeds)
+    training = ll.sample_training_set(
+        draw(st.sampled_from(["ERM1", "ERM1P", "ERM2"])),
+        modes,
+        draw(st.integers(1, 6)),
+        draw(st.floats(0.25, 4.0)),
+        seed=seed,
+    )
+    subset = None
+    if draw(st.booleans()):
+        order = draw(st.permutations(range(1, modes + 1)))
+        subset = tuple(order[: draw(st.integers(1, modes))])
     rng = np.random.default_rng(seed)
-    o_u = rng.standard_normal((2 * modes, 2 * modes))
-    training = ll.sample_training_set("ERM2", modes, 2, 1.0, seed=seed)
-    problem = optimize_module._Problem(training, o_u, subset)
-    k = len(subset)
-    for _ in range(2):  # the second call rewrites the buffer the first one filled
-        g = rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
-        expected = o_u - _realify_raw(_embed_complex(g, subset, modes))
-        assert _same_bits(problem.difference(g), expected)
-    full = optimize_module._Problem(training, o_u)
-    g = rng.standard_normal((modes, modes)) + 1j * rng.standard_normal((modes, modes))
-    assert _same_bits(full.difference(g), o_u - _realify_raw(g))
+    target = ll.random_linear_optical(modes, rng)
+    g = _off_manifold(modes if subset is None else len(subset), rng)
+    return training, target, subset, g
+
+
+def _real_form_risk(training, target, subset, g):
+    """``mean(1 - exp(-|(O_U - R(embed(G))) x|^2 / 2))`` on the real quadratures."""
+    if subset is not None:
+        g = _embed_complex(g, subset, training.modes)
+    y = training.states @ (target.entries - _realify_raw(g)).T
+    return float(np.mean(1.0 - np.exp(-0.5 * np.sum(y * y, axis=1))))
+
+
+@settings(max_examples=100, deadline=None)
+@given(problem=_subset_problems())
+def test_problem_risk_matches_the_real_form(problem):
+    training, target, subset, g = problem
+    fit = optimize_module._Problem(training, target, subset)
+    expected = _real_form_risk(training, target, subset, g)
+    assert abs(fit.risk_value(g) - expected) <= 1e-13
+    value, _ = fit.value_and_grad(optimize_module._matrix_to_theta(g))
+    penalty = optimize_module.PENALTY_WEIGHT * ll.ComplexTransfer(g).unitarity_residual()
+    assert abs(value - penalty - expected) <= 1e-13
+
+
+@settings(max_examples=100, deadline=None)
+@given(problem=_subset_problems())
+def test_objective_gradient_matches_central_differences(problem):
+    training, target, subset, g = problem
+    fit = optimize_module._Problem(training, target, subset)
+    theta = optimize_module._matrix_to_theta(g)
+    _, grad = fit.value_and_grad(theta)
+    step = 1e-5
+    numeric = np.empty_like(theta)
+    for i in range(theta.size):
+        shift = np.zeros_like(theta)
+        shift[i] = step
+        numeric[i] = (fit.value_and_grad(theta + shift)[0] - fit.value_and_grad(theta - shift)[0]) / (2 * step)
+    assert np.linalg.norm(grad - numeric) <= 1e-6 * np.linalg.norm(numeric)
